@@ -508,8 +508,8 @@ class ShareSchedule:
     def with_stall(self, stall_ms: float, stall_share: float) -> "ShareSchedule":
         """This schedule with its opening ``stall_ms`` pinned to ``stall_share``.
 
-        The splice the render-fleet planner (:mod:`repro.sim.fleet`)
-        applies to a migrated client's epoch schedule: while state
+        The splice the session planner applies to a migrated fleet
+        client's epoch schedule (:mod:`repro.sim.fleet`): while state
         transfers to the new server the client renders at a starvation
         share, then the planned allocation resumes mid-schedule exactly
         where it would have been.  A stall covering the whole schedule

@@ -14,15 +14,21 @@ reproduction's server from a scalar capacity into a simulated cluster:
   (:mod:`repro.sim.session`) — :class:`ServerUp`, :class:`ServerDown`
   (with graceful ``drain``), and :class:`ServerFail` — so
   :meth:`~repro.sim.session.Session.timeline` re-plans placement at
-  every capacity *or* client event;
-* :func:`plan_fleet_timeline` — the fleet-aware planner behind
-  ``Session.timeline()``: on shrink or failure, displaced clients are
-  **migrated** to a surviving server (a configurable migration penalty
-  is spliced into their ``(start_ms, share)`` schedules as a starvation
-  window while state transfers) or — under the naive ``"requeue"``
-  mode — dropped to the back of the admission queue FCFS behind
-  incumbents, where they render at the starvation share until a later
-  re-planning event re-seats them.
+  every capacity *or* client event.
+
+A fleet session is planned by the session module's one epoch walker;
+the fleet decides only its seating step.  At each boundary the
+placement policy seats new and promoted clients, and each server's
+rendering throughput is allocated among the clients placed on it while
+the session downlink is split across the whole placed roster.  On
+shrink or failure, displaced clients are **migrated** to a surviving
+server (a configurable migration penalty is spliced into their
+``(start_ms, share)`` schedules as a starvation window while state
+transfers) or — under the naive ``"requeue"`` mode — dropped to the
+back of the admission queue FCFS behind incumbents, where they render
+at the starvation share until a later re-planning event re-seats them.
+Fleet epochs additionally carry placements and per-server occupancy
+windows.
 
 Planning invariants:
 
@@ -46,27 +52,11 @@ Planning invariants:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro import constants
 from repro.errors import ConfigurationError
-from repro.network.profile import ShareSchedule
-from repro.obs import trace as obs_trace
-from repro.sim.metrics import ServerWindow
-from repro.sim.runner import CLIENT_SEED_STRIDE
-from repro.sim.server import AdmissionDecision, ClientDemand, RenderServer
-from repro.sim.session import (
-    _HORIZON_SLACK,
-    CapacityEvent,
-    Epoch,
-    Join,
-    Leave,
-    ProfileSwitch,
-    Session,
-    SessionTimeline,
-    _client_spec,
-    _ClientState,
-)
+from repro.sim.server import RenderServer
+from repro.sim.session import CapacityEvent
 
 __all__ = [
     "ServerUp",
@@ -84,7 +74,6 @@ __all__ = [
     "STALL_SHARE",
     "RenderFleet",
     "fleet_from_payload",
-    "plan_fleet_timeline",
 ]
 
 #: Starvation share a parked or state-transferring client renders (and
@@ -387,94 +376,6 @@ class RenderFleet:
                 )
 
 
-# ---------------------------------------------------------------------------
-# Per-client planner state
-# ---------------------------------------------------------------------------
-
-
-class _FleetClientState(_ClientState):
-    """Session client bookkeeping plus placement history and queue rank."""
-
-    def __init__(self, index, spec, joined_ms, resolved) -> None:
-        super().__init__(index, spec, joined_ms, resolved)
-        self.assigned: str | None = None
-        self.last_server: str | None = None
-        self.placement_history: list[tuple[float, str | None]] = []
-        self.migrations = 0
-        self.queue_since = joined_ms
-        self.requeued = False
-        self.holdoff_ms: float | None = None
-        self.penalty_pending = False
-
-    def assign(self, t_ms: float, server: str) -> bool:
-        """Seat the client; returns True when this is a cross-server move."""
-        migrated = self.last_server is not None and self.last_server != server
-        if migrated:
-            self.migrations += 1
-            obs_trace.active().instant(
-                "fleet.migrate", client=self.index, t_ms=t_ms,
-                src=self.last_server, dst=server,
-            )
-        if not self.placement_history or self.placement_history[-1][1] != server:
-            self.placement_history.append((t_ms, server))
-        self.assigned = server
-        self.last_server = server
-        self.requeued = False
-        self.holdoff_ms = None
-        return migrated
-
-    def park(self, t_ms: float) -> None:
-        """Record a span with no server (rendering at the stall share)."""
-        if not self.placement_history or self.placement_history[-1][1] is not None:
-            self.placement_history.append((t_ms, None))
-            obs_trace.active().instant(
-                "fleet.park", client=self.index, t_ms=t_ms
-            )
-
-    def displace(self, t_ms: float, drained: bool, requeue: bool) -> None:
-        """The client's server went away; decide its queueing fate.
-
-        A drained scale-down is planned: the client migrates gracefully
-        (no penalty) and keeps incumbent priority even under the naive
-        ``"requeue"`` mode, which models the handling of *unplanned*
-        displacement only.
-        """
-        self.assigned = None
-        obs_trace.active().instant(
-            "fleet.displace", client=self.index, t_ms=t_ms,
-            drained=drained, requeue=requeue,
-        )
-        if not drained:
-            self.penalty_pending = True
-        if requeue and not drained:
-            self.requeued = True
-            self.queue_since = t_ms
-            self.holdoff_ms = t_ms
-
-    def priority(self) -> tuple:
-        """Placement order: seated/serviced incumbents, then waiters FCFS."""
-        incumbent = self.assigned is not None or (
-            self.service_start is not None and not self.requeued
-        )
-        if incumbent:
-            start = (
-                self.service_start
-                if self.service_start is not None
-                else self.joined_ms
-            )
-            return (0, start, self.joined_ms, self.index)
-        return (1, self.queue_since, self.joined_ms, self.index)
-
-    def freeze(self, **kwargs):
-        """Freeze the client row, stamping its placement history."""
-        row = super().freeze(**kwargs)
-        return replace(
-            row,
-            servers=tuple(self.placement_history),
-            migrations=self.migrations,
-        )
-
-
 def fleet_from_payload(payload: object, source: str = "fleet") -> RenderFleet:
     """Build a :class:`RenderFleet` from a decoded JSON description.
 
@@ -525,279 +426,3 @@ def fleet_from_payload(payload: object, source: str = "fleet") -> RenderFleet:
     if "initial" in payload:
         kwargs["initial"] = tuple(str(n) for n in payload["initial"])
     return RenderFleet.from_capacities(capacities, **kwargs)
-
-
-#: Window-local share schedule of a fully stalled epoch.
-_STALLED = ((0.0, STALL_SHARE),)
-
-
-# ---------------------------------------------------------------------------
-# The fleet planner
-# ---------------------------------------------------------------------------
-
-
-def plan_fleet_timeline(
-    session: Session,
-    system: str = "qvr",
-    n_frames: int = 200,
-    seed: int = 0,
-    warmup_frames: int | None = None,
-) -> SessionTimeline:
-    """Epoch-by-epoch placement, migration, and re-allocation over a fleet.
-
-    The fleet-aware twin of the session's dynamic planner: every client
-    *or* capacity event opens a planning boundary where departures and
-    capacity losses apply first (the enforced same-timestamp order),
-    displaced clients are re-seated by the placement policy or parked,
-    freed capacity promotes waiters FCFS, and each server's rendering
-    throughput is re-allocated among the clients placed on it while the
-    session downlink is allocated across the whole serviced roster.  The
-    output is an ordinary :class:`~repro.sim.session.SessionTimeline`
-    whose epochs additionally carry placements and per-server occupancy
-    windows.
-    """
-    fleet = session.fleet
-    assert fleet is not None and session.platform is not None
-    duration_ms = n_frames * constants.FRAME_BUDGET_MS
-    horizon_ms = duration_ms * _HORIZON_SLACK
-    ordered = session.ordered_events()
-    for event in ordered:
-        if event.t_ms >= duration_ms:
-            raise ConfigurationError(
-                f"event at {event.t_ms:g} ms falls outside the nominal "
-                f"session ({n_frames} frames = {duration_ms:g} ms)"
-            )
-    default_network = session.platform.network
-    placement = placement_by_name(fleet.placement)
-    capacities = {name: fleet.server(name).capacity for name in fleet.names}
-
-    states = [
-        _FleetClientState(
-            index, spec, 0.0, spec.resolved_platform(session.platform)
-        )
-        for index, spec in enumerate(session.clients)
-    ]
-    up = {name: fleet.initially_up(name) for name in fleet.names}
-
-    events_at: dict[float, list] = {}
-    for event in ordered:
-        events_at.setdefault(event.t_ms, []).append(event)
-    boundaries = sorted(set(events_at) | {0.0})
-
-    epochs: list[Epoch] = []
-    for k, t0 in enumerate(boundaries):
-        t1 = boundaries[k + 1] if k + 1 < len(boundaries) else duration_ms
-        drained_now: set[str] = set()
-        lost_now: set[str] = set()
-        for event in events_at.get(t0, ()):
-            if isinstance(event, Join):
-                spec = _client_spec(event.spec)
-                states.append(
-                    _FleetClientState(
-                        len(states),
-                        spec,
-                        t0,
-                        spec.resolved_platform(session.platform),
-                    )
-                )
-            elif isinstance(event, Leave):
-                states[event.client].leave(t0)
-            elif isinstance(event, ProfileSwitch):
-                states[event.client].switch(t0, event.profile)
-            elif isinstance(event, ServerUp):
-                up[event.server] = True
-            elif isinstance(event, (ServerDown, ServerFail)):
-                up[event.server] = False
-                if isinstance(event, ServerDown) and event.drain:
-                    drained_now.add(event.server)
-                else:
-                    lost_now.add(event.server)
-        for state in states:
-            if state.assigned is None:
-                continue
-            if not state.present_at(t0):
-                state.assigned = None  # a leaver frees its seat silently
-            elif (
-                not up[state.assigned]
-                or state.assigned in drained_now
-                or state.assigned in lost_now
-            ):
-                # Down servers displace their clients even when a same-t
-                # ServerUp brings the box straight back: a fail/up blip
-                # still lost the in-flight state (penalty on re-seat).
-                state.displace(
-                    t0,
-                    drained=state.assigned in drained_now,
-                    requeue=fleet.migration == "requeue",
-                )
-
-        roster = sorted(
-            (s for s in states if s.present_at(t0)),
-            key=_FleetClientState.priority,
-        )
-        demands = tuple(
-            ClientDemand.estimate(
-                app=s.spec.app,
-                profile=s.profile(),
-                seed=seed + CLIENT_SEED_STRIDE * s.index + 7,
-                weight=s.spec.weight,
-                server=fleet.servers[0][1].config,
-            )
-            for s in roster
-        )
-        up_names = tuple(name for name in fleet.names if up[name])
-        loads = {name: 0.0 for name in up_names}
-        for s in roster:
-            if s.assigned is not None:
-                loads[s.assigned] += s.spec.weight
-
-        decisions: list[AdmissionDecision] = []
-        arrivals: dict[str, list[int]] = {}
-        migrated_in: dict[str, list[int]] = {}
-        for s, demand in zip(roster, demands):
-            if s.assigned is not None:
-                decisions.append(AdmissionDecision(s.index, "admit"))
-                continue
-            candidates = tuple(
-                name
-                for name in up_names
-                if fleet.server(name).fits(demand.weight, loads[name])
-            )
-            if not candidates or s.holdoff_ms == t0:
-                if s.service_start is None and fleet.overflow == "reject":
-                    s.rejected = True
-                    decisions.append(
-                        AdmissionDecision(s.index, "reject", service_level=0.0)
-                    )
-                else:
-                    decisions.append(
-                        AdmissionDecision(s.index, "queue", service_level=0.0)
-                    )
-                continue
-            target = placement.place(candidates, loads, capacities, s.last_server)
-            loads[target] += demand.weight
-            moved = s.assign(t0, target)
-            arrivals.setdefault(target, []).append(s.index)
-            if moved:
-                migrated_in.setdefault(target, []).append(s.index)
-            decisions.append(AdmissionDecision(s.index, "admit"))
-
-        placed = [s for s in roster if s.assigned is not None]
-        window_end = horizon_ms if k + 1 == len(boundaries) else t1
-        window = window_end - t0
-        if placed:
-            # The downlink is shared session-wide, so its split is
-            # computed over the whole placed roster; each server's
-            # rendering throughput is split only within its own group.
-            # When one server hosts everyone (the common single-server
-            # case) the two calls would be argument-identical, so one
-            # allocation serves both resources.
-            placed_demands = tuple(
-                d for s, d in zip(roster, demands) if s.assigned is not None
-            )
-            hosts = {s.assigned for s in placed}
-            # min() rather than next(iter(...)): the set is a singleton on
-            # this branch, but pulling its element via iteration order is
-            # a determinism hazard the moment that invariant slips.
-            session_alloc = fleet.server(
-                up_names[0] if len(hosts) > 1 else min(hosts)
-            ).allocate(
-                placed_demands,
-                session.policy,
-                horizon_ms=window,
-                sharing_efficiency=session.sharing_efficiency,
-                service_levels=(1.0,) * len(placed),
-                start_ms=t0,
-            )
-            downlink_of = {
-                s.index: a.downlink for s, a in zip(placed, session_alloc)
-            }
-            server_of: dict[int, ShareSchedule] = {}
-            if len(hosts) == 1:
-                for s, allocation in zip(placed, session_alloc):
-                    server_of[s.index] = allocation.server
-            else:
-                for name in up_names:
-                    group = [
-                        (s, d)
-                        for s, d in zip(roster, demands)
-                        if s.assigned == name
-                    ]
-                    if not group:
-                        continue
-                    group_alloc = fleet.server(name).allocate(
-                        tuple(d for _, d in group),
-                        session.policy,
-                        horizon_ms=window,
-                        sharing_efficiency=session.sharing_efficiency,
-                        service_levels=(1.0,) * len(group),
-                        start_ms=t0,
-                    )
-                    for (s, _), allocation in zip(group, group_alloc):
-                        server_of[s.index] = allocation.server
-            for s in placed:
-                schedule = server_of[s.index]
-                if s.penalty_pending and fleet.migration_penalty_ms > 0:
-                    if fleet.migration_penalty_ms >= window:
-                        schedule = ShareSchedule(_STALLED)
-                    else:
-                        schedule = schedule.with_stall(
-                            fleet.migration_penalty_ms, STALL_SHARE
-                        )
-                s.penalty_pending = False
-                s.record_segments(
-                    t0,
-                    schedule.segments,
-                    downlink_of[s.index].segments,
-                    len(placed),
-                )
-        for s in roster:
-            # Parked: displaced with nowhere to go (or re-queued) — keep
-            # the run alive at the stall share until capacity returns.
-            if s.assigned is None and s.service_start is not None:
-                s.park(t0)
-                s.record_segments(t0, _STALLED, _STALLED, len(placed))
-        epochs.append(
-            Epoch(
-                start_ms=t0,
-                end_ms=t1,
-                decisions=tuple(decisions),
-                serviced=tuple(s.index for s in placed),
-                placements=tuple((s.index, s.assigned) for s in placed),
-                servers=tuple(
-                    ServerWindow(
-                        server=name,
-                        start_ms=t0,
-                        end_ms=t1,
-                        capacity=capacities[name],
-                        load=loads[name],
-                        clients=tuple(
-                            s.index for s in placed if s.assigned == name
-                        ),
-                        arrivals=tuple(arrivals.get(name, ())),
-                        migrated_in=tuple(migrated_in.get(name, ())),
-                    )
-                    for name in up_names
-                ),
-            )
-        )
-
-    client_rows = tuple(
-        state.freeze(
-            session=session,
-            system=system,
-            n_frames=n_frames,
-            seed=seed,
-            warmup_frames=warmup_frames,
-            duration_ms=duration_ms,
-            default_network=default_network,
-        )
-        for state in states
-    )
-    return SessionTimeline(
-        session=session,
-        n_frames=n_frames,
-        duration_ms=duration_ms,
-        epochs=tuple(epochs),
-        clients=client_rows,
-    )

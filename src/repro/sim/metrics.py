@@ -554,8 +554,8 @@ def window_stats(records, start_ms: float, end_ms: float) -> WindowStats:
 class ServerWindow:
     """One server's occupancy over one planning epoch of a fleet session.
 
-    The unit the render-fleet planner (:mod:`repro.sim.fleet`) emits per
-    up server per epoch: who was placed there, how much of its capacity
+    The unit the session planner emits per up fleet server
+    (:mod:`repro.sim.fleet`) per epoch: who was placed there, how much of its capacity
     they consumed, and which clients arrived at this boundary —
     ``migrated_in`` is the subset of ``arrivals`` displaced off another
     server (scale-down, failure, or consolidation), the raw material of

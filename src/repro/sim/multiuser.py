@@ -271,14 +271,14 @@ class MultiUserScenario:
     ) -> "SessionPlan":
         """Admit, schedule and expand the session into frozen run specs.
 
-        A thin compatibility shim over a single-epoch event-free
+        A thin compatibility shim over an event-free
         :class:`~repro.sim.session.Session` (see :meth:`as_session`),
-        whose static path is the exact planning logic of earlier
-        releases: the legacy fair-share path (no explicit server) admits
-        everyone and emits exactly the specs of those releases — same
-        cache keys, bit-identical results — and any other configuration
-        runs the full server pipeline (demand estimation, admission,
-        policy scheduling) whose share schedules ride inside the specs.
+        which the session's epoch walker plans as one epoch: the legacy
+        fair-share session (no explicit server) admits everyone and
+        emits exactly the specs of earlier releases — same cache keys,
+        bit-identical results — and any other configuration seats
+        clients through the server (demand estimation, admission, policy
+        scheduling), whose share schedules ride inside the specs.
         """
         return self.as_session().timeline(
             system=system,

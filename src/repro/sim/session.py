@@ -19,22 +19,32 @@ timeline —
   ``ServerUp`` / ``ServerDown`` / ``ServerFail`` grow and shrink a
   *fleet* of named rendering servers mid-session;
 
-and :meth:`Session.timeline` re-plans the session at every event: the
-:class:`~repro.sim.server.RenderServer` re-runs admission over the
-present roster (incumbents keep their slots — re-admission never
-evicts), **promotes queued clients into freed capacity** so they
-genuinely start late instead of sitting out, and re-allocates every
-policy's share schedules over each epoch.  The result is one frozen
-:class:`~repro.sim.runner.RunSpec` per serviced client — carrying its
-session start offset and the concatenated per-epoch ``(start_ms,
-share)`` schedules in client-local time — which the ordinary
-:class:`~repro.sim.runner.BatchEngine` executes deterministically, in
-parallel, and cacheably like any other spec.
+and :meth:`Session.timeline` plans every session with one epoch
+walker.  The walker steps through the windows between events; at each
+boundary it applies the pending events, seats the clients present,
+allocates their shares of the server and the shared downlink over the
+window, and finally freezes one :class:`~repro.sim.runner.RunSpec` per
+serviced client — carrying its session start offset and the
+concatenated per-epoch ``(start_ms, share)`` schedules in client-local
+time — which the ordinary :class:`~repro.sim.runner.BatchEngine`
+executes deterministically, in parallel, and cacheably like any other
+spec.  Only the seating step depends on the session's shape:
 
-A session without events is planned exactly as
+* a session on a :class:`~repro.sim.fleet.RenderFleet` seats clients
+  through the fleet's placement policy, migrating or parking the ones a
+  capacity event displaces;
+* a session on a bare :class:`~repro.sim.server.RenderServer` seats
+  them through :meth:`~repro.sim.server.RenderServer.admit` over the
+  present roster — incumbents keep their slots, and freed capacity
+  **promotes queued clients**, which genuinely start late;
+* the legacy static fair-share session (no server, no events) admits
+  everyone and freezes unscheduled specs.
+
+A session without events is a one-epoch walk whose window is the
+planning horizon, so it plans exactly as
 :class:`~repro.sim.multiuser.MultiUserScenario` always planned it (that
-class is now a thin shim over a single-epoch session): same specs, same
-cache keys, bit-identical results.
+class is now a thin shim over such a session): same specs, same cache
+keys, bit-identical results.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from repro.network.conditions import NetworkConditions
 from repro.network.profile import (
     AllocatedProfile,
     NetworkProfile,
+    ShareSchedule,
     SwitchedProfile,
     as_profile,
 )
@@ -256,14 +267,14 @@ class Session:
         The rendering server.  ``None`` keeps the legacy behaviour for
         static fair-share sessions (everyone admitted, no schedules) and
         a default :class:`~repro.sim.server.RenderServer` otherwise; a
-        session *with events* always runs the full admission pipeline,
-        since even fair shares change when the roster does.
+        session *with events* always seats through the server, since
+        even fair shares change when the roster does.
     fleet:
         A :class:`~repro.sim.fleet.RenderFleet` replacing the single
         ``server`` with a roster of named servers whose capacity changes
         through :class:`CapacityEvent`s; mutually exclusive with
-        ``server``.  A fleet session always runs the full placement
-        pipeline (the fleet *is* the admission controller).
+        ``server``.  A fleet session always seats through the fleet's
+        placement policy (the fleet *is* the admission controller).
     """
 
     clients: tuple = ()
@@ -379,304 +390,318 @@ class Session:
         seed: int = 0,
         warmup_frames: int | None = None,
     ) -> "SessionTimeline":
-        """Re-plan the session at every event and freeze it into run specs.
+        """Walk the session's epochs and freeze it into run specs.
 
-        Static sessions (no events) take the exact legacy path of
-        ``MultiUserScenario.plan()``.  Event sessions walk the epoch list
-        chronologically: at each boundary the pending events apply, the
-        server re-admits the present roster **in arrival order** (so
-        incumbents keep their slots and freed capacity promotes queued
-        clients first-fit in arrival order — the oldest queued client
-        that *fits* goes first; a lighter late-comer may slip past a
-        heavy queued client rather than head-of-line block, matching the
-        server's greedy admission), and the policy re-allocates share
-        schedules over the epoch.  Every serviced
-        client freezes to one :class:`~repro.sim.runner.RunSpec` whose
-        ``start_ms`` is its promotion instant and whose frame count
-        covers its active window.
+        The epoch walker steps chronologically through the windows
+        between events.  At each boundary the pending events apply, the
+        clients present are seated **in priority order** — clients
+        already being serviced first (by service start, so re-seating
+        never evicts an incumbent), then waiters by arrival (first-fit:
+        the oldest waiting client that *fits* goes first, so a lighter
+        late-comer may slip past a heavy queued client rather than
+        head-of-line block) — and the policy allocates share schedules
+        over the window.  How clients are seated depends on the
+        session's shape (see the module docstring): through the fleet's
+        placement policy, through the bare server's admission, or, for
+        the legacy static fair-share session, by admitting everyone.
+        Every serviced client freezes to one
+        :class:`~repro.sim.runner.RunSpec` whose ``start_ms`` is its
+        service start and whose frame count covers its active window.
 
-        A session with a :attr:`fleet` plans through the fleet's
-        placement pipeline (:func:`repro.sim.fleet.plan_fleet_timeline`)
-        instead — per-server placement, migration and parking on top of
-        the same epoch walk.
+        ``warmup_frames`` (``None``: the default warm-up for
+        ``n_frames``) must leave at least one steady-state frame of the
+        session; a client whose run is shorter than the warm-up keeps
+        all its frames.
         """
-        tracer = obs_trace.active()
-        if self.fleet is not None:
-            from repro.sim.fleet import plan_fleet_timeline
-
-            with tracer.span("session.plan", mode="fleet", clients=len(self.clients)):
-                return plan_fleet_timeline(
-                    self,
-                    system=system,
-                    n_frames=n_frames,
-                    seed=seed,
-                    warmup_frames=warmup_frames,
-                )
-        if not self.events:
-            with tracer.span("session.plan", mode="static", clients=len(self.clients)):
-                return self._static_timeline(system, n_frames, seed, warmup_frames)
-        with tracer.span("session.plan", mode="dynamic", clients=len(self.clients)):
-            return self._dynamic_timeline(system, n_frames, seed, warmup_frames)
-
-    # -- the static (legacy, bit-identical) path ---------------------------------
-
-    def _static_timeline(
-        self,
-        system: str,
-        n_frames: int,
-        seed: int,
-        warmup_frames: int | None,
-    ) -> "SessionTimeline":
-        """The frozen-roster plan, byte-identical to earlier releases."""
-        warmup = (
-            effective_warmup(n_frames) if warmup_frames is None else warmup_frames
+        if warmup_frames is not None and not 0 <= warmup_frames < n_frames:
+            raise ConfigurationError(
+                f"warmup_frames ({warmup_frames}) must be >= 0 and < "
+                f"n_frames ({n_frames})"
+            )
+        mode = (
+            "fleet" if self.fleet is not None
+            else "dynamic" if self.events
+            else "static"
         )
-        assert self.platform is not None
-        duration_ms = n_frames * constants.FRAME_BUDGET_MS
-        horizon_ms = duration_ms * _HORIZON_SLACK
-        default_network = self.platform.network
-        resolved = [
-            client.resolved_platform(self.platform) for client in self.clients
-        ]
-        seeds = [
-            seed + CLIENT_SEED_STRIDE * index for index in range(len(self.clients))
-        ]
+        with obs_trace.active().span(
+            "session.plan", mode=mode, clients=len(self.clients)
+        ):
+            return _walk_epochs(self, system, n_frames, seed, warmup_frames)
 
-        def base_spec(index: int, **overrides) -> RunSpec:
-            """Spec template for one client window of this plan."""
-            client = self.clients[index]
-            kwargs = dict(
-                system=client.system if client.system is not None else system,
-                app=client.app,
-                platform=resolved[index],
-                n_frames=n_frames,
-                seed=seeds[index],
-                warmup_frames=warmup,
-                shared_clients=len(self.clients),
-                sharing_efficiency=self.sharing_efficiency,
-                # A client on its own link shares the server but not
-                # the session downlink.
-                shared_downlink=resolved[index].network == default_network,
+
+def _walk_epochs(
+    session: Session,
+    system: str,
+    n_frames: int,
+    seed: int,
+    warmup_frames: int | None,
+) -> "SessionTimeline":
+    """The epoch walker behind :meth:`Session.timeline` (see the module docstring)."""
+    from repro.sim import fleet as fleets  # late: the fleet module imports this one
+
+    assert session.platform is not None
+    duration_ms = n_frames * constants.FRAME_BUDGET_MS
+    ordered = session.ordered_events()
+    for event in ordered:
+        if event.t_ms >= duration_ms:
+            raise ConfigurationError(
+                f"event at {event.t_ms:g} ms falls outside the nominal "
+                f"session ({n_frames} frames = {duration_ms:g} ms)"
             )
-            kwargs.update(overrides)
-            return RunSpec(**kwargs)
+    fleet = session.fleet
+    if fleet is not None:
+        placement = fleets.placement_by_name(fleet.placement)
+        pool = dict(fleet.servers)
+        up = {name: fleet.initially_up(name) for name in fleet.names}
+    else:
+        # A bare server is a one-seat pool named "".
+        pool = {"": session.server if session.server is not None else RenderServer()}
+        up = {"": True}
+    config = next(iter(pool.values())).config
+    capacities = {name: server.capacity for name, server in pool.items()}
+    legacy = (
+        fleet is None
+        and session.server is None
+        and session.policy == "fair-share"
+        and not ordered
+    )
+    stalled = ((0.0, fleets.STALL_SHARE),)
+    tracer = obs_trace.active()
 
-        if self.policy == "fair-share" and self.server is None:
-            specs = tuple(base_spec(index) for index in range(len(self.clients)))
-            decisions = tuple(
-                AdmissionDecision(index, "admit")
-                for index in range(len(self.clients))
-            )
-        else:
-            server = self.server if self.server is not None else RenderServer()
-            demands = tuple(
-                ClientDemand.estimate(
-                    app=client.app,
-                    profile=resolved[index].network,
-                    # The allocation planner samples the profile with the
-                    # channel's seed, so Markov links replay the same
-                    # state sequence the run will observe.
-                    seed=seeds[index] + 7,
-                    weight=client.weight,
-                    server=server.config,
-                )
-                for index, client in enumerate(self.clients)
-            )
-            decisions = server.admit(demands)
-            serviced = [d.client_index for d in decisions if d.serviced]
-            allocations = server.allocate(
-                tuple(demands[i] for i in serviced),
-                self.policy,
-                horizon_ms=horizon_ms,
-                sharing_efficiency=self.sharing_efficiency,
-                service_levels=tuple(
-                    d.service_level for d in decisions if d.serviced
-                ),
-            )
-            specs = tuple(
-                base_spec(
-                    index,
-                    policy=self.policy,
-                    # Rejected/queued clients transmit nothing: only the
-                    # serviced roster contends (shares, jitter growth).
-                    shared_clients=max(len(serviced), 1),
-                    server_allocation=allocation.server.segments,
-                    downlink_allocation=(
-                        allocation.downlink.segments
-                        if resolved[index].network == default_network
-                        else None
-                    ),
-                )
-                for index, allocation in zip(serviced, allocations)
-            )
-        serviced_indices = tuple(d.client_index for d in decisions if d.serviced)
-        runs = dict(zip(serviced_indices, specs))
-        client_rows = tuple(
-            ClientTimeline(
-                index=index,
-                spec=client,
-                joined_ms=0.0,
-                start_ms=0.0 if index in runs else None,
-                end_ms=None,
-                run=runs.get(index),
-            )
-            for index, client in enumerate(self.clients)
-        )
-        epoch = Epoch(
-            start_ms=0.0,
-            end_ms=duration_ms,
-            decisions=decisions,
-            serviced=serviced_indices,
-        )
-        return SessionTimeline(
-            session=self,
-            n_frames=n_frames,
-            duration_ms=duration_ms,
-            epochs=(epoch,),
-            clients=client_rows,
-        )
+    states = [
+        _ClientState(index, spec, 0.0, spec.resolved_platform(session.platform))
+        for index, spec in enumerate(session.clients)
+    ]
+    events_at: dict[float, list[SessionEvent]] = {}
+    for event in ordered:
+        events_at.setdefault(event.t_ms, []).append(event)
+    boundaries = sorted(set(events_at) | {0.0})
 
-    # -- the dynamic (event-driven) path ------------------------------------------
-
-    def _dynamic_timeline(
-        self,
-        system: str,
-        n_frames: int,
-        seed: int,
-        warmup_frames: int | None,
-    ) -> "SessionTimeline":
-        """Epoch-by-epoch re-admission, promotion, and re-allocation."""
-        assert self.platform is not None
-        duration_ms = n_frames * constants.FRAME_BUDGET_MS
-        horizon_ms = duration_ms * _HORIZON_SLACK
-        ordered = self.ordered_events()
-        for event in ordered:
-            if event.t_ms >= duration_ms:
-                raise ConfigurationError(
-                    f"event at {event.t_ms:g} ms falls outside the nominal "
-                    f"session ({n_frames} frames = {duration_ms:g} ms)"
-                )
-        server = self.server if self.server is not None else RenderServer()
-        default_network = self.platform.network
-
-        states = [
-            _ClientState(index, spec, 0.0, spec.resolved_platform(self.platform))
-            for index, spec in enumerate(self.clients)
-        ]
-
-        events_at: dict[float, list[SessionEvent]] = {}
-        for event in ordered:
-            events_at.setdefault(event.t_ms, []).append(event)
-        boundaries = [0.0] + sorted(events_at)
-
-        tracer = obs_trace.active()
-        epochs: list[Epoch] = []
-        for k, t0 in enumerate(boundaries):
-            t1 = boundaries[k + 1] if k + 1 < len(boundaries) else duration_ms
-            for event in events_at.get(t0, ()):
-                if isinstance(event, Join):
-                    spec = _client_spec(event.spec)
-                    states.append(
-                        _ClientState(
-                            len(states),
-                            spec,
-                            t0,
-                            spec.resolved_platform(self.platform),
-                        )
+    epochs: list[Epoch] = []
+    for k, t0 in enumerate(boundaries):
+        t1 = boundaries[k + 1] if k + 1 < len(boundaries) else duration_ms
+        lost: dict[str, bool] = {}  # servers gone at t0 -> drained?
+        for event in events_at.get(t0, ()):
+            if isinstance(event, Join):
+                states.append(
+                    _ClientState(
+                        len(states),
+                        event.spec,
+                        t0,
+                        event.spec.resolved_platform(session.platform),
                     )
-                elif isinstance(event, Leave):
-                    states[event.client].leave(t0)
-                else:  # ProfileSwitch
-                    states[event.client].switch(t0, event.profile)
-
-            # Admission priority: clients already being serviced first
-            # (by service start — the greedy admit() packs them before
-            # any newcomer, so re-admission can never evict or demote a
-            # running client: incumbents fit by construction and weights
-            # never change), then waiting clients by arrival.  Freed
-            # capacity goes to the oldest waiting client that fits
-            # (greedy first-fit, so a light late-comer may pass a heavy
-            # queued client instead of head-of-line blocking).
-            roster = sorted(
-                (s for s in states if s.present_at(t0)),
-                key=lambda s: (
-                    s.service_start is None,
-                    s.service_start if s.service_start is not None else s.joined_ms,
-                    s.joined_ms,
-                    s.index,
-                ),
-            )
-            demands = tuple(
-                ClientDemand.estimate(
-                    app=s.spec.app,
-                    profile=s.profile(),
-                    seed=seed + CLIENT_SEED_STRIDE * s.index + 7,
-                    weight=s.spec.weight,
-                    server=server.config,
                 )
-                for s in roster
+            elif isinstance(event, Leave):
+                states[event.client].leave(t0)
+            elif isinstance(event, ProfileSwitch):
+                states[event.client].switch(t0, event.profile)
+            elif isinstance(event, fleets.ServerUp):
+                up[event.server] = True
+            else:  # ServerDown / ServerFail
+                up[event.server] = False
+                lost[event.server] = (
+                    isinstance(event, fleets.ServerDown) and event.drain
+                )
+        for state in states:
+            if state.assigned is None:
+                continue
+            if not state.present_at(t0):
+                state.assigned = None  # a leaver frees its seat silently
+            elif not up[state.assigned] or state.assigned in lost:
+                # Down servers displace their clients even when a same-t
+                # ServerUp brings the box straight back: a fail/up blip
+                # still lost the in-flight state (penalty on re-seat).
+                state.displace(
+                    t0,
+                    drained=lost.get(state.assigned, False),
+                    requeue=fleet.migration == "requeue",
+                )
+
+        roster = sorted(
+            (s for s in states if s.present_at(t0)), key=_ClientState.priority
+        )
+        demands = () if legacy else tuple(
+            ClientDemand.estimate(
+                app=s.spec.app,
+                profile=s.profile(),
+                # The allocation planner samples the profile with the
+                # channel's seed, so Markov links replay the same state
+                # sequence the run will observe.
+                seed=seed + CLIENT_SEED_STRIDE * s.index + 7,
+                weight=s.spec.weight,
+                server=config,
             )
-            raw = server.admit(demands)
-            decisions = tuple(
-                replace(d, client_index=roster[d.client_index].index) for d in raw
-            )
+            for s in roster
+        )
+        up_names = tuple(name for name in pool if up[name])
+
+        # -- seating: the one step that depends on the session's shape --
+        loads = {name: 0.0 for name in up_names}
+        arrivals: dict[str, list[int]] = {}
+        migrated_in: dict[str, list[int]] = {}
+        if fleet is not None:
+            for s in roster:
+                if s.assigned is not None:
+                    loads[s.assigned] += s.spec.weight
+            decisions = []
+            for s, demand in zip(roster, demands):
+                if s.assigned is not None:
+                    decisions.append(AdmissionDecision(s.index, "admit"))
+                    continue
+                candidates = tuple(
+                    name
+                    for name in up_names
+                    if pool[name].fits(demand.weight, loads[name])
+                )
+                if not candidates or s.holdoff_ms == t0:
+                    spill = (
+                        "reject"
+                        if s.service_start is None and fleet.overflow == "reject"
+                        else "queue"
+                    )
+                    decisions.append(
+                        AdmissionDecision(s.index, spill, service_level=0.0)
+                    )
+                    continue
+                target = placement.place(candidates, loads, capacities, s.last_server)
+                loads[target] += demand.weight
+                arrivals.setdefault(target, []).append(s.index)
+                if s.assign(t0, target):
+                    migrated_in.setdefault(target, []).append(s.index)
+                decisions.append(AdmissionDecision(s.index, "admit"))
+        elif legacy:
+            decisions = [AdmissionDecision(s.index, "admit") for s in roster]
+        else:
+            decisions = [
+                replace(d, client_index=s.index)
+                for s, d in zip(roster, pool[""].admit(demands))
+            ]
+        for s, decision in zip(roster, decisions):
             # A rejection is final: the client is turned away, not parked
-            # in the queue — only queue-mode clients are re-tried (and
+            # in the queue — only queued clients are re-tried (and
             # promoted) at later boundaries.
-            for state, decision in zip(roster, decisions):
-                if decision.action == "reject":
-                    state.rejected = True
-            serviced_pos = [i for i, d in enumerate(decisions) if d.serviced]
-            serviced = [roster[i] for i in serviced_pos]
-            window_end = horizon_ms if k + 1 == len(boundaries) else t1
-            allocations = server.allocate(
-                tuple(demands[i] for i in serviced_pos),
-                self.policy,
-                horizon_ms=window_end - t0,
-                sharing_efficiency=self.sharing_efficiency,
-                service_levels=tuple(
-                    d.service_level for d in decisions if d.serviced
-                ),
+            if decision.action == "reject":
+                s.rejected = True
+            elif decision.serviced and fleet is None:
+                s.assigned = ""  # a bare server seats without placement history
+
+        placed = [s for s in roster if s.assigned is not None]
+        if placed and legacy:
+            for s in placed:
+                s.record_segments(t0, (), (), len(placed))
+        elif placed:
+            # The downlink is shared session-wide, so its split is
+            # computed over the whole placed roster; each server's
+            # rendering throughput is split only within its own group.
+            # When one server hosts everyone (always, on a bare server)
+            # the two calls would be argument-identical, so one
+            # allocation serves both resources.
+            window = (
+                duration_ms * _HORIZON_SLACK if k + 1 == len(boundaries) else t1
+            ) - t0
+            placed_demands = tuple(
+                d for s, d in zip(roster, demands) if s.assigned is not None
+            )
+            hosts = {s.assigned for s in placed}
+            # min() rather than next(iter(...)): the set is a singleton
+            # here, but pulling its element via iteration order is a
+            # determinism hazard the moment that invariant slips.
+            session_alloc = pool[
+                up_names[0] if len(hosts) > 1 else min(hosts)
+            ].allocate(
+                placed_demands,
+                session.policy,
+                horizon_ms=window,
+                sharing_efficiency=session.sharing_efficiency,
+                service_levels=tuple(d.service_level for d in decisions if d.serviced),
                 start_ms=t0,
             )
-            for state, allocation in zip(serviced, allocations):
-                state.record_service(t0, allocation, len(serviced))
-            epochs.append(
-                Epoch(
-                    start_ms=t0,
-                    end_ms=t1,
-                    decisions=decisions,
-                    serviced=tuple(s.index for s in serviced),
+            server_of = {s.index: a.server for s, a in zip(placed, session_alloc)}
+            if len(hosts) > 1:
+                for name in up_names:
+                    group = [
+                        (s, d) for s, d in zip(roster, demands) if s.assigned == name
+                    ]
+                    if not group:
+                        continue
+                    group_alloc = pool[name].allocate(
+                        tuple(d for _, d in group),
+                        session.policy,
+                        horizon_ms=window,
+                        sharing_efficiency=session.sharing_efficiency,
+                        start_ms=t0,
+                    )
+                    for (s, _), allocation in zip(group, group_alloc):
+                        server_of[s.index] = allocation.server
+            for s, allocation in zip(placed, session_alloc):
+                schedule = server_of[s.index]
+                if s.penalty_pending and fleet.migration_penalty_ms > 0:
+                    if fleet.migration_penalty_ms >= window:
+                        schedule = ShareSchedule(stalled)
+                    else:
+                        schedule = schedule.with_stall(
+                            fleet.migration_penalty_ms, fleets.STALL_SHARE
+                        )
+                s.penalty_pending = False
+                s.record_segments(
+                    t0, schedule.segments, allocation.downlink.segments, len(placed)
                 )
+        for s in roster:
+            # Parked: displaced with nowhere to go (or re-queued) — keep
+            # the run alive at the stall share until capacity returns.
+            if s.assigned is None and s.service_start is not None:
+                s.park(t0)
+                s.record_segments(t0, stalled, stalled, len(placed))
+        epochs.append(
+            Epoch(
+                start_ms=t0,
+                end_ms=t1,
+                decisions=tuple(decisions),
+                serviced=tuple(s.index for s in placed),
+                placements=()
+                if fleet is None
+                else tuple((s.index, s.assigned) for s in placed),
+                servers=()
+                if fleet is None
+                else tuple(
+                    ServerWindow(
+                        server=name,
+                        start_ms=t0,
+                        end_ms=t1,
+                        capacity=capacities[name],
+                        load=loads[name],
+                        clients=tuple(s.index for s in placed if s.assigned == name),
+                        arrivals=tuple(arrivals.get(name, ())),
+                        migrated_in=tuple(migrated_in.get(name, ())),
+                    )
+                    for name in up_names
+                ),
             )
-            tracer.instant(
-                "session.epoch", epoch=k, t0_ms=t0,
-                roster=len(roster), serviced=len(serviced),
-            )
+        )
+        tracer.instant(
+            "session.epoch", epoch=k, t0_ms=t0,
+            roster=len(roster), serviced=len(placed),
+        )
 
-        client_rows = tuple(
-            state.freeze(
-                session=self,
-                system=system,
-                n_frames=n_frames,
-                seed=seed,
-                warmup_frames=warmup_frames,
-                duration_ms=duration_ms,
-                default_network=default_network,
-            )
+    warmup = effective_warmup(n_frames) if warmup_frames is None else warmup_frames
+    return SessionTimeline(
+        session=session,
+        n_frames=n_frames,
+        duration_ms=duration_ms,
+        epochs=tuple(epochs),
+        clients=tuple(
+            state.freeze(session, system, n_frames, seed, warmup, duration_ms)
             for state in states
-        )
-        return SessionTimeline(
-            session=self,
-            n_frames=n_frames,
-            duration_ms=duration_ms,
-            epochs=tuple(epochs),
-            clients=client_rows,
-        )
+        ),
+    )
 
 
 class _ClientState:
-    """Mutable per-client bookkeeping while the planner walks the epochs."""
+    """Mutable per-client bookkeeping while the walker steps the epochs.
+
+    ``assigned`` is the client's seat this epoch: a fleet server name,
+    ``""`` on a bare server, ``None`` while waiting or parked.
+    """
 
     def __init__(
         self,
@@ -699,6 +724,14 @@ class _ClientState:
         self.server_segments: list[tuple[float, float]] = []
         self.downlink_segments: list[tuple[float, float]] = []
         self.peak_roster = 0
+        self.assigned: str | None = None
+        self.last_server: str | None = None
+        self.placement_history: list[tuple[float, str | None]] = []
+        self.migrations = 0
+        self.queue_since = joined_ms
+        self.requeued = False
+        self.holdoff_ms: float | None = None
+        self.penalty_pending = False
 
     def present_at(self, t_ms: float) -> bool:
         """True when the client is in the session at ``t_ms``."""
@@ -713,7 +746,12 @@ class _ClientState:
             self.service_end = t_ms
 
     def switch(self, t_ms: float, profile: NetworkProfile) -> None:
-        """Record a network-profile switch taking effect at ``t_ms``."""
+        """Record a network-profile switch taking effect at ``t_ms``.
+
+        Of several switches at one instant the last applied wins.
+        """
+        if self.profile_history[-1][0] == t_ms:
+            self.profile_history.pop()
         self.profile_history.append((t_ms, profile))
 
     def profile(self) -> NetworkProfile:
@@ -765,13 +803,6 @@ class _ClientState:
         """True once the client has changed network profile."""
         return len(self.profile_history) > 1
 
-    def record_service(self, t0: float, allocation, roster_size: int) -> None:
-        """Record one service interval from a solved allocation."""
-        self.record_segments(
-            t0, allocation.server.segments, allocation.downlink.segments,
-            roster_size,
-        )
-
     def record_segments(
         self,
         t0: float,
@@ -781,9 +812,9 @@ class _ClientState:
     ) -> None:
         """Append one epoch's window-local share schedules at offset ``t0``.
 
-        The hook the fleet planner uses directly: it records migration-
-        penalised and parked (starvation-share) epochs, which have no
-        single :class:`~repro.sim.server.SessionAllocation` behind them.
+        Migration-penalised and parked (stall-share) epochs are recorded
+        here too, so the schedules need no single
+        :class:`~repro.sim.server.SessionAllocation` behind them.
         """
         if self.service_start is None:
             self.service_start = t0
@@ -793,15 +824,73 @@ class _ClientState:
         for start, share in downlink_segments:
             _append_merged(self.downlink_segments, t0 + start, share)
 
+    def assign(self, t_ms: float, server: str) -> bool:
+        """Seat the client on a fleet server; True on a cross-server move."""
+        migrated = self.last_server is not None and self.last_server != server
+        if migrated:
+            self.migrations += 1
+            obs_trace.active().instant(
+                "fleet.migrate", client=self.index, t_ms=t_ms,
+                src=self.last_server, dst=server,
+            )
+        if not self.placement_history or self.placement_history[-1][1] != server:
+            self.placement_history.append((t_ms, server))
+        self.assigned = server
+        self.last_server = server
+        self.requeued = False
+        self.holdoff_ms = None
+        return migrated
+
+    def park(self, t_ms: float) -> None:
+        """Record a span with no server (rendering at the stall share)."""
+        if not self.placement_history or self.placement_history[-1][1] is not None:
+            self.placement_history.append((t_ms, None))
+            obs_trace.active().instant(
+                "fleet.park", client=self.index, t_ms=t_ms
+            )
+
+    def displace(self, t_ms: float, drained: bool, requeue: bool) -> None:
+        """The client's fleet server went away; decide its queueing fate.
+
+        A drained scale-down is planned: the client migrates gracefully
+        (no penalty) and keeps incumbent priority even under the naive
+        ``"requeue"`` mode, which models the handling of *unplanned*
+        displacement only.
+        """
+        self.assigned = None
+        obs_trace.active().instant(
+            "fleet.displace", client=self.index, t_ms=t_ms,
+            drained=drained, requeue=requeue,
+        )
+        if not drained:
+            self.penalty_pending = True
+        if requeue and not drained:
+            self.requeued = True
+            self.queue_since = t_ms
+            self.holdoff_ms = t_ms
+
+    def priority(self) -> tuple:
+        """Seating order: seated/serviced incumbents, then waiters FCFS."""
+        incumbent = self.assigned is not None or (
+            self.service_start is not None and not self.requeued
+        )
+        if incumbent:
+            start = (
+                self.service_start
+                if self.service_start is not None
+                else self.joined_ms
+            )
+            return (0, start, self.joined_ms, self.index)
+        return (1, self.queue_since, self.joined_ms, self.index)
+
     def freeze(
         self,
         session: Session,
         system: str,
         n_frames: int,
         seed: int,
-        warmup_frames: int | None,
+        warmup_frames: int,
         duration_ms: float,
-        default_network,
     ) -> "ClientTimeline":
         """Close the books: one RunSpec if the client was ever serviced."""
         if self.service_start is None:
@@ -817,15 +906,13 @@ class _ClientState:
         end = self.service_end
         active_ms = (end if end is not None else duration_ms) - start
         frames = max(1, int(round(n_frames * active_ms / duration_ms)))
-        warmup = effective_warmup(
-            frames, effective_warmup(n_frames) if warmup_frames is None else warmup_frames
-        )
         # A client is on the shared session downlink only while it holds
         # the default link: an override privatises it from the start; a
         # mid-session switch privatises it *from the switch on* (the
         # pre-switch span keeps its allocated share of the session link
         # — see _switched_network — so a later roam cannot retroactively
         # rewrite epochs the client spent contending on the downlink).
+        default_network = session.platform.network
         shared_start = self.resolved.network == default_network
         shared_link = shared_start and not self.switched
         platform = (
@@ -836,22 +923,25 @@ class _ClientState:
             if self.switched
             else self.resolved
         )
+        # The legacy static fair-share session records no schedules and
+        # freezes unscheduled specs (``or None``).
         run = RunSpec(
             system=self.spec.system if self.spec.system is not None else system,
             app=self.spec.app,
             platform=platform,
             n_frames=frames,
             seed=seed + CLIENT_SEED_STRIDE * self.index,
-            warmup_frames=warmup,
+            warmup_frames=effective_warmup(frames, warmup_frames),
             shared_clients=max(self.peak_roster, 1),
             sharing_efficiency=session.sharing_efficiency,
             shared_downlink=shared_link,
             policy=session.policy,
             server_allocation=tuple(
                 (s - start, share) for s, share in self.server_segments
-            ),
+            ) or None,
             downlink_allocation=(
                 tuple((s - start, share) for s, share in self.downlink_segments)
+                or None
                 if shared_link
                 else None
             ),
@@ -864,6 +954,8 @@ class _ClientState:
             start_ms=start,
             end_ms=end,
             run=run,
+            servers=tuple(self.placement_history),
+            migrations=self.migrations,
         )
 
 

@@ -3,6 +3,7 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import constants
 from repro.errors import ConfigurationError
@@ -23,8 +24,8 @@ from repro.sim.fleet import (
 from repro.sim.metrics import ServerWindow, aggregate_server_stats
 from repro.sim.multiuser import ClientSpec
 from repro.sim.runner import BatchEngine, spec_key
-from repro.sim.server import RenderServer
-from repro.sim.session import Join, Leave, Session, simulate_session
+from repro.sim.server import POLICY_NAMES, RenderServer
+from repro.sim.session import Join, Leave, ProfileSwitch, Session, simulate_session
 
 
 def _duration(n_frames):
@@ -214,6 +215,42 @@ class TestPlacementPolicies:
             assert tuple(name for _, name in epoch.placements) == expected
 
 
+@st.composite
+def _churn_sessions(draw):
+    """A valid join/leave/switch script: ``(clients, events, n_frames)``."""
+    n_frames = draw(st.sampled_from((30, 60, 90)))
+    apps = st.sampled_from(("GRID", "Doom3-L", "UT3", "Wolf"))
+    client = st.builds(
+        ClientSpec,
+        app=apps,
+        profile=st.sampled_from((None, "4g", "wifi-drop")),
+        weight=st.sampled_from((0.5, 1.0, 1.5)),
+    )
+    clients = draw(st.lists(client, min_size=1, max_size=3))
+    grid = draw(
+        st.lists(st.integers(1, 19), min_size=1, max_size=6, unique=True)
+    )
+    present = list(range(len(clients)))
+    known = len(clients)
+    events = []
+    for step in sorted(grid):
+        t = _duration(n_frames) * step / 20
+        kind = draw(st.sampled_from(("join", "leave", "switch")))
+        if kind == "join" or not present:
+            events.append(Join(t, draw(client)))
+            present.append(known)
+            known += 1
+        elif kind == "leave":
+            events.append(Leave(t, present.pop(draw(st.integers(0, len(present) - 1)))))
+        else:
+            events.append(
+                ProfileSwitch(
+                    t, draw(st.sampled_from(present)), draw(st.sampled_from(("4g", "5g")))
+                )
+            )
+    return tuple(clients), tuple(events), n_frames
+
+
 class TestSingleServerParity:
     """A one-server fleet with no capacity events plans like a bare server."""
 
@@ -276,6 +313,38 @@ class TestSingleServerParity:
         assert pickle.dumps(list(via_bare.values())) == pickle.dumps(
             list(via_fleet.values())
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=_churn_sessions(),
+        overflow=st.sampled_from(("queue", "reject")),
+        capacity=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+        policy=st.sampled_from(POLICY_NAMES),
+        seed=st.integers(0, 999),
+    )
+    def test_bare_server_matches_one_server_fleet(
+        self, script, overflow, capacity, policy, seed
+    ):
+        """Generated join/leave/switch scripts under queue and reject."""
+        clients, events, n_frames = script
+        bare = Session(
+            clients=clients,
+            events=events,
+            policy=policy,
+            server=RenderServer(capacity_clients=capacity, overflow=overflow),
+        ).timeline(n_frames=n_frames, seed=seed)
+        fleet = Session(
+            clients=clients,
+            events=events,
+            policy=policy,
+            fleet=RenderFleet.from_capacities({"a": capacity}, overflow=overflow),
+        ).timeline(n_frames=n_frames, seed=seed)
+        assert bare.specs == fleet.specs
+        assert [spec_key(s) for s in bare.specs] == [spec_key(s) for s in fleet.specs]
+        assert len(bare.epochs) == len(fleet.epochs)
+        for a, b in zip(bare.epochs, fleet.epochs):
+            assert a.decisions == b.decisions
+            assert a.serviced == b.serviced
 
 
 class TestMigration:

@@ -13,6 +13,7 @@ from repro.network.profile import (
     SwitchedProfile,
     TraceProfile,
 )
+from repro.sim.fleet import RenderFleet
 from repro.sim.multiuser import ClientSpec, MultiUserScenario
 from repro.sim.runner import BatchEngine, RunSpec, spec_key
 from repro.sim.server import RenderServer
@@ -503,6 +504,54 @@ class TestSameTimestampOrdering:
                 clients=("GRID",),
                 events=(Join(t, "Doom3-L"), Leave(t, client=1)),
             )
+
+
+    def test_two_switches_of_one_client_at_one_instant_last_wins(self):
+        n_frames = 60
+        t = 0.4 * _duration(n_frames)
+        both = _queue_session(
+            n_frames,
+            (ProfileSwitch(t, client=0, profile="5g"),
+             ProfileSwitch(t, client=0, profile="4g")),
+        )
+        last = _queue_session(
+            n_frames, (ProfileSwitch(t, client=0, profile="4g"),)
+        )
+        a = both.timeline(n_frames=n_frames)
+        b = last.timeline(n_frames=n_frames)
+        assert a.specs == b.specs
+        assert a.epochs == b.epochs
+
+
+class TestWarmupRule:
+    """One warm-up check for every session shape, at ``timeline()`` entry."""
+
+    SESSIONS = {
+        "static": lambda: Session(clients=("GRID", "Doom3-L")),
+        "fleet": lambda: Session(
+            clients=("GRID", "Doom3-L"),
+            events=(Leave(300.0, client=1),),
+            fleet=RenderFleet.from_capacities({"a": 1.0, "b": 1.0}),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SESSIONS))
+    @pytest.mark.parametrize("warmup", [60, 61, -1])
+    def test_warmup_must_leave_a_steady_state_frame(self, shape, warmup):
+        with pytest.raises(ConfigurationError, match="warmup_frames"):
+            self.SESSIONS[shape]().timeline(n_frames=60, warmup_frames=warmup)
+
+    @pytest.mark.parametrize("shape", sorted(SESSIONS))
+    def test_valid_warmup_applies_to_full_length_runs(self, shape):
+        timeline = self.SESSIONS[shape]().timeline(n_frames=60, warmup_frames=59)
+        assert timeline.client(0).run.warmup_frames == 59
+
+    def test_short_runs_keep_the_per_client_clamp(self):
+        # The leaver runs ~5 frames: a 30-frame warm-up collapses to 0.
+        timeline = self.SESSIONS["fleet"]().timeline(n_frames=60, warmup_frames=30)
+        assert timeline.client(1).run.n_frames < 30
+        assert timeline.client(1).run.warmup_frames == 0
+        assert timeline.client(0).run.warmup_frames == 30
 
 
 class TestEventsFromMotion:
