@@ -10,9 +10,9 @@ timing artifact:
   (default: the vectorized frame kernels);
 * ``parallel_cold_s`` — the batch engine at ``--jobs`` workers with a
   cold on-disk cache;
-* ``shard_cold_s`` — the sharded work-stealing executor (``--shards``
+* ``shard_cold_s`` — the sharded executor (``--shards``
   shards, process mode) with a cold cache and a spill-to-disk stream;
-* ``parallel_warm_s`` — the flat engine invoked again, so every spec is
+* ``parallel_warm_s`` — the batch engine invoked again, so every spec is
   answered by the cache;
 * ``serial_warm_s`` / ``obs_untraced_s`` / ``obs_traced_s`` — the
   serial sweep re-timed min-of-reps with warm memo caches: before any

@@ -3,8 +3,8 @@
 
 Expands a population-scale parameter grid — every system design of the
 paper, all seven Table 3 titles, and a couple dozen random seeds — into
-1,029 run specs, executes them through the sharded work-stealing
-executor, and aggregates per-system latency and frame-rate statistics
+1,029 run specs, executes them through the sharded executor's process
+pool, and aggregates per-system latency and frame-rate statistics
 *while results stream past*.  No full-sweep result list ever exists:
 each ``(spec, result)`` pair is folded into O(1) mergeable summaries
 (:class:`~repro.sim.metrics.StreamSummary`) and dropped, so peak memory

@@ -120,23 +120,20 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="route uncached runs through the sharded work-stealing "
-        "executor with this many spec shards (results are bit-identical "
-        "to the flat pool at any shard/worker count)",
+        help="split uncached runs into this many spec shards (default: one "
+        "per run); results are bit-identical at any shard/worker count",
     )
     parser.add_argument(
         "--shard-mode", default="process", choices=list(SHARD_MODES),
-        help="sharded execution mode: process pool with parent-scheduled "
-        "stealing (default), subprocess workers simulating a multi-machine "
-        "fleet (claim files, heartbeats, requeue), or inline",
+        help="execution mode: process pool (default; in-process at --jobs 1), "
+        "subprocess workers simulating a multi-machine fleet (claim files, "
+        "heartbeats, requeue), or inline",
     )
     parser.add_argument(
-        "--stream", nargs="?", const="", default=None, metavar="DIR",
-        dest="stream_dir",
-        help="stream sharded results through a spill-to-disk directory; "
-        "with DIR, reusing it resumes an interrupted sweep (completed "
-        "shards are skipped, partial shard files resume after their valid "
-        "prefix); without DIR, results spill through a temporary directory",
+        "--stream", default=None, metavar="DIR", dest="stream_dir",
+        help="spill every completed run to DIR; reusing it resumes an "
+        "interrupted sweep (completed shards are skipped, partial shard "
+        "files resume after their valid prefix)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="DIR", dest="trace_dir",
@@ -323,14 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from(args: argparse.Namespace) -> BatchEngine:
-    stream_dir = getattr(args, "stream_dir", None)
     return BatchEngine(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         engine=getattr(args, "engine", None),
         shards=getattr(args, "shards", None),
         shard_mode=getattr(args, "shard_mode", "process"),
-        stream_dir=stream_dir or None,
+        stream_dir=getattr(args, "stream_dir", None),
     )
 
 
@@ -457,7 +453,7 @@ def _cmd_batch(args: argparse.Namespace) -> None:
         f"{stats.deduplicated} deduplicated in-batch; total {total_s:.2f}s"
     )
     shard_stats = engine.last_shard_stats
-    if shard_stats is not None:
+    if args.shards is not None and shard_stats is not None:
         print(
             f"shards: {shard_stats.shards} planned ({shard_stats.specs} specs), "
             f"{shard_stats.skipped_shards} resumed complete, "
@@ -927,7 +923,7 @@ def _cmd_population(args: argparse.Namespace) -> None:
         file=sys.stderr,
     )
     shard_stats = engine.last_shard_stats
-    if shard_stats is not None:
+    if args.shards is not None and shard_stats is not None:
         print(
             f"shards: {shard_stats.shards} planned ({shard_stats.specs} specs), "
             f"{shard_stats.steals} steals, {shard_stats.requeues} requeues, "

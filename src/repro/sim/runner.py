@@ -12,16 +12,17 @@ through one engine:
   is just a spec variant rather than a parallel API;
 * :class:`Sweep` declaratively expands a parameter grid
   (system x app x platform x seed) into frozen specs;
-* :class:`BatchEngine` executes spec batches over an optional
-  ``concurrent.futures`` process pool and memoizes results in an on-disk
-  cache keyed by a stable content hash of the spec (:func:`spec_key`).
+* :class:`BatchEngine` executes spec batches with dedup, an in-memory
+  memo and an optional on-disk cache keyed by a stable content hash of
+  the spec (:func:`spec_key`).
 
-Population-scale sweeps route through the sharded, work-stealing
-executor (:mod:`repro.sim.shard`): ``BatchEngine(shards=...)`` partitions
-the miss list into spec shards, streams every completed run to an
-append-only spill file, and — via :meth:`BatchEngine.stream_specs` —
-yields ``(spec, result)`` pairs in bounded memory instead of
-materializing the whole sweep's output.
+Every uncached run goes through one executor,
+:class:`~repro.sim.shard.ShardedExecutor`, and every batch through one
+streaming primitive, :meth:`BatchEngine.stream_specs`, which yields
+``(spec, result)`` pairs in bounded memory; :meth:`BatchEngine.run_specs`
+collects it into a dict.  Results spill to disk only when a run can be
+resumed: into a configured ``stream_dir``, or the spool that
+subprocess-mode workers read from.
 
 Execution is deterministic per spec: every run derives all randomness
 from ``spec.seed``, so the same spec produces bit-identical results at
@@ -30,7 +31,6 @@ any job count, any shard/worker count, and across cache round-trips.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -573,7 +573,7 @@ class BatchStats:
 
 
 class BatchEngine:
-    """Executes batches of :class:`RunSpec` with dedup, cache and a pool.
+    """Executes batches of :class:`RunSpec` with dedup, memo and cache.
 
     Parameters
     ----------
@@ -590,24 +590,22 @@ class BatchEngine:
         by the *requested* specs, and cache keys ignore the engine field,
         so overriding changes how runs execute, never what callers see.
     shards:
-        Route uncached specs through the sharded work-stealing executor
-        (:mod:`repro.sim.shard`) with this target shard count instead of
-        the flat per-spec pool.  ``jobs`` becomes the worker count.
-        Results are bit-identical to the flat path — sharding only
-        changes scheduling and spill behaviour, never computation — and
+        Target shard count for the executor (:mod:`repro.sim.shard`);
+        None gives one shard per uncached spec.  Sharding only changes
+        scheduling and spill granularity, never computation, and
         :class:`ResultCache` keys are unchanged.
     shard_mode:
-        Sharded-execution mode (see :data:`repro.sim.shard.SHARD_MODES`):
-        ``"process"`` (default) runs shards on a process pool with
-        parent-scheduled stealing; ``"subprocess"`` simulates a
-        multi-machine fleet of claim-based workers with heartbeat and
-        requeue; ``"inline"`` executes shards sequentially in-process.
+        Execution mode (see :data:`repro.sim.shard.SHARD_MODES`):
+        ``"process"`` (default) runs shards on a process pool when
+        ``jobs`` > 1 and in-process otherwise; ``"subprocess"``
+        simulates a multi-machine fleet of claim-based workers with
+        heartbeat and requeue; ``"inline"`` always runs in-process.
     stream_dir:
-        Directory for the sharded executor's spill-to-disk result
-        stream.  Reusing the directory resumes an interrupted sweep:
-        completed shards are skipped and partial shard files resume
-        after their salvaged prefix.  None spills to a temporary
-        directory that is removed when execution finishes.
+        Directory the executor spills every completed run to.  Reusing
+        the directory resumes an interrupted sweep: completed shards are
+        skipped and partial shard files resume after their salvaged
+        prefix.  None keeps results off disk (subprocess mode still
+        spools through a temporary directory its workers read).
 
     Completed runs are always memoized in-memory for the engine's
     lifetime, so overlapping batches (e.g. Table 4 and Fig. 15 sharing
@@ -615,7 +613,7 @@ class BatchEngine:
     directory; ``cache_dir`` additionally persists results across
     engines and processes.  The bounded-memory entry points
     (:meth:`stream_specs` / :meth:`stream_sweep`) skip that memo —
-    results flow straight from the spill files to the caller.
+    results flow straight from the executor to the caller.
     """
 
     def __init__(
@@ -658,104 +656,47 @@ class BatchEngine:
     ) -> dict[RunSpec, SimulationResult]:
         """Execute a batch; returns results keyed by spec, input-ordered.
 
-        Duplicate specs are executed once; cached specs are loaded from
-        disk; the remainder runs on the process pool (``jobs`` > 1) or
-        in-process, and lands in the cache for the next batch.
+        Collects :meth:`stream_specs` — duplicates execute once, cached
+        specs load from disk, the rest run through the executor and land
+        in the cache — and memoizes every result for the engine's
+        lifetime.
         """
         requested = list(specs)
-        unique = list(dict.fromkeys(requested))
-        self.stats.requested += len(requested)
-        self.stats.unique += len(unique)
-
+        order = dict.fromkeys(requested)
         tracer = obs_trace.active()
         with tracer.span(
-            "batch.run_specs", requested=len(requested), unique=len(unique)
+            "batch.run_specs", requested=len(requested), unique=len(order)
         ):
-            results: dict[RunSpec, SimulationResult] = {}
-            misses: list[RunSpec] = []
-            for spec in unique:
-                cached = self._memo.get(spec)
-                if cached is None and self.cache is not None:
-                    cached = self.cache.get(spec)
-                if cached is not None:
-                    results[spec] = cached
-                    self._memo[spec] = cached
-                    self.stats.cache_hits += 1
-                else:
-                    misses.append(spec)
-
-            for spec, result in self._execute(misses):
-                results[spec] = result
-                self._memo[spec] = result
-                if self.cache is not None:
-                    self.cache.put(spec, result)
-                self.stats.executed += 1
-            return {spec: results[spec] for spec in unique}
+            results = dict(self.stream_specs(requested))
+        self._memo.update(results)
+        return {spec: results[spec] for spec in order}
 
     def _execute(
         self, specs: list[RunSpec]
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Yield (spec, result) as runs complete.
+        """Yield (spec, result) for every miss as its run completes.
 
-        Results stream back in completion order so each lands in the
-        cache immediately — an interrupted or partially failed sweep
-        keeps every run that finished.  Callers key by spec, so the
-        non-deterministic completion order never reaches outputs.
-
-        An engine override rewrites each spec's ``engine`` field just for
-        execution; yielded keys are the requested specs, so callers (and
-        the cache, whose keys ignore the field anyway) are unaffected.
-
-        With ``shards`` configured the batch instead flows through the
-        sharded work-stealing executor, which spills every completed run
-        to disk and already handles the engine override itself.
-        """
-        if self.shards is not None:
-            yield from self._execute_sharded(specs)
-            return
-        if self.engine is None:
-            executed = list(specs)
-        else:
-            executed = [replace(spec, engine=self.engine) for spec in specs]
-        if self.jobs > 1 and len(specs) > 1:
-            workers = min(self.jobs, len(specs))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run, job): spec
-                    for spec, job in zip(specs, executed)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    yield futures[future], future.result()
-        else:
-            for spec, job in zip(specs, executed):
-                yield spec, run(job)
-
-    def _execute_sharded(
-        self, specs: list[RunSpec]
-    ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Run the miss list through the sharded work-stealing executor.
-
-        Frames are yielded lazily from the executor's spill files; a
-        temporary stream directory (when none was configured) is removed
-        once the batch finishes, while a configured ``stream_dir`` keeps
-        its spill files for resumption and post-hoc reads.
+        Every miss goes through the one executor; ``shards=None`` gives
+        one shard per spec.  Results stream back in completion order so
+        each lands in the cache immediately — an interrupted or
+        partially failed sweep keeps every run that finished.  Callers
+        key by spec, so the non-deterministic completion order never
+        reaches outputs.  The executor applies the engine override at
+        execution only, and yields the requested specs.
         """
         from repro.sim.shard import ShardedExecutor
 
         if not specs:
             return
         executor = ShardedExecutor(
-            shards=self.shards,
+            shards=len(specs) if self.shards is None else self.shards,
             workers=self.jobs,
             mode=self.shard_mode,
             stream_dir=self.stream_dir,
             engine=self.engine,
         )
         self.last_shard_stats = executor.stats
-        try:
-            yield from executor.execute(specs)
-        finally:
-            executor.cleanup()
+        yield from executor.execute(specs)
 
     def run_sweep(self, sweep: Sweep) -> dict[RunSpec, SimulationResult]:
         """Expand and execute a declarative sweep."""
@@ -766,48 +707,55 @@ class BatchEngine:
     def stream_specs(
         self, specs: Iterable[RunSpec]
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Execute a batch lazily, yielding ``(spec, result)`` pairs.
+        """Execute a batch lazily, yielding one pair per requested spec.
 
-        The bounded-memory counterpart of :meth:`run_specs`: results are
-        never accumulated into a dict or the in-memory memo, so a
-        10k-spec sweep peaks at one result plus whatever the consumer
-        retains (feed the pairs to a
+        The engine's one execution primitive (:meth:`run_specs` collects
+        it).  Results are never accumulated into a dict or the in-memory
+        memo, so a 10k-spec sweep peaks at one shard's results plus
+        whatever the consumer retains (feed the pairs to a
         :class:`~repro.sim.metrics.StreamSummary` for O(1) statistics).
-        Duplicate specs are still yielded once, disk-cache hits are
-        served without execution, and executed results land in the disk
-        cache — only the engine-lifetime memo is skipped.
+        Memo and disk-cache hits are served without execution, and
+        executed results land in the disk cache.
+
+        Every request yields its own pair — a duplicated miss executes
+        once, a duplicated hit is looked up again — so a consumer
+        folding every pair counts every client-session;
+        :class:`BatchStats` counts unique specs.
 
         Pairs are yielded as execution completes, so the order mixes
-        cache hits (input order, first) with executed shards (completion
+        cache hits (input order, first) with executed runs (completion
         order); consumers key by spec.
 
         ``specs`` may be any iterable, including a lazy generator — it
-        is consumed incrementally (duplicates are dropped as they
-        arrive, cache hits yielded as they are found), so a population
-        planner can emit specs session by session without ever
-        materializing the duplicate-bearing request list.
+        is consumed incrementally (cache hits yielded as they are
+        found), so a population planner can emit specs session by
+        session without ever materializing the request list.
         """
-        seen: set[RunSpec] = set()
-        misses: list[RunSpec] = []
+        pending: dict[RunSpec, int] = {}  # miss -> times requested
+        hits: set[RunSpec] = set()
         for spec in specs:
             self.stats.requested += 1
-            if spec in seen:
+            if spec in pending:
+                pending[spec] += 1
                 continue
-            seen.add(spec)
-            self.stats.unique += 1
             cached = self._memo.get(spec)
             if cached is None and self.cache is not None:
                 cached = self.cache.get(spec)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                yield spec, cached
+            if spec not in hits:
+                self.stats.unique += 1
+                if cached is not None:
+                    hits.add(spec)
+                    self.stats.cache_hits += 1
+            if cached is None:
+                pending[spec] = 1
             else:
-                misses.append(spec)
-        for spec, result in self._execute(misses):
+                yield spec, cached
+        for spec, result in self._execute(list(pending)):
             if self.cache is not None:
                 self.cache.put(spec, result)
             self.stats.executed += 1
-            yield spec, result
+            for _ in range(pending[spec]):
+                yield spec, result
 
     def stream_sweep(
         self, sweep: Sweep

@@ -1,23 +1,27 @@
-"""Sharded, work-stealing batch execution with spill-to-disk result streams.
+"""Sharded batch execution with an optional spill-to-disk result stream.
 
-This is the execution substrate underneath :class:`~repro.sim.runner.
-BatchEngine` for population-scale sweeps: the spec list is partitioned
-into contiguous **shards**, shards are served from per-worker queues
-with idle workers **stealing** from the tail of the busiest queue, and
-every completed run is **streamed to disk** as an append-only pickle
-frame in a per-shard result file — so a 10k-spec sweep executes in
-memory bounded by one shard, an interrupted sweep resumes from the spill
-files, and a killed worker's shard is requeued and re-executed without
-losing the frames it already wrote.
+This is the one executor underneath :class:`~repro.sim.runner.
+BatchEngine`: every uncached run goes through :class:`ShardedExecutor`.
+The spec list is partitioned into contiguous **shards**, and every mode
+runs a shard's specs through the same per-spec loop.
 
-Three execution modes share one on-disk protocol (:class:`ResultStream`):
+Results spill to disk only when a run can be resumed.  With a
+``stream_dir``, every completed run is appended as a pickle frame to a
+per-shard result file (:class:`ResultStream`), so an interrupted sweep
+resumes from the spill files and a killed worker's shard is requeued
+without losing the frames it already wrote.  Without one, nothing
+touches disk: inline runs yield each result as it completes, and pool
+workers return their shard's frames through the future.
 
-* ``inline`` — shards run one after another in this process (the
-  reference order; also the fallback when every worker has died);
-* ``process`` — shards run on a ``concurrent.futures`` process pool,
-  scheduled by the parent from per-worker queues with steal-from-tail
-  (the pool executes wherever a process is free, so the queues model
-  *scheduling order*, not CPU pinning);
+Three execution modes:
+
+* ``inline`` — shards run one after another in this process (the serial
+  reference; process mode with one worker or one shard runs this way
+  too, and it is the subprocess parent's fallback when every worker has
+  died);
+* ``process`` — every pending shard is submitted up front to a
+  ``concurrent.futures`` process pool, whose free processes take them in
+  order;
 * ``subprocess`` — the simulated multi-machine mode: independent
   ``python -m repro.sim.shard`` worker processes claim shards from the
   spool directory via atomic claim files, heartbeat while executing,
@@ -25,13 +29,15 @@ Three execution modes share one on-disk protocol (:class:`ResultStream`):
   drained.  The parent requeues any shard whose claimant died or whose
   heartbeat went stale, so a ``SIGKILL``-ed worker's shard is stolen
   and re-executed — deterministically, because every run derives all
-  randomness from its spec.
+  randomness from its spec.  Its workers need the files, so this mode
+  always spools: into a temporary directory when no ``stream_dir`` is
+  given.
 
 Determinism contract: shard planning is a pure function of the spec
-list, frames within a shard are written in spec order, and each run is
-bit-reproducible from its spec — so the stream's contents are identical
-at any shard count, worker count, mode, and across crash/requeue or
-interrupt/resume cycles.
+list, frames within a shard are produced in spec order, and each run is
+bit-reproducible from its spec — so results, and the stream's contents,
+are identical at any shard count, worker count, mode, and across
+crash/requeue or interrupt/resume cycles.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -216,13 +222,6 @@ class ResultStream:
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
         os.replace(tmp, path)
 
-    def manifest(self) -> dict | None:
-        """The recorded shard plan, or None for a fresh directory."""
-        path = self.directory / self.MANIFEST
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
-
     # -- shard spec spool (subprocess mode) -----------------------------------
 
     def write_shard_specs(self, shards: Sequence[Shard]) -> None:
@@ -285,6 +284,32 @@ class ResultStream:
                     return
                 yield frame
 
+    def salvageable(self, shard: Shard) -> tuple[int, int]:
+        """Frames and bytes of ``shard``'s partial file that a resume keeps.
+
+        The prefix ends at the first torn frame or spec out of order.
+        """
+        count = offset = 0
+        try:
+            handle = self.part_path(shard.index).open("rb")
+        except OSError:
+            return 0, 0
+        with handle:
+            while count < len(shard.specs):
+                try:
+                    frame = pickle.load(handle)
+                except _TORN_FRAME_ERRORS:
+                    break
+                if (
+                    not isinstance(frame, tuple)
+                    or len(frame) != 2
+                    or frame[0] != shard.specs[count]
+                ):
+                    break
+                offset = handle.tell()
+                count += 1
+        return count, offset
+
     def iter_shard(self, index: int) -> Iterator[tuple[RunSpec, SimulationResult]]:
         """Yield one completed shard's ``(spec, result)`` frames in order."""
         yield from self._iter_frames(self.results_path(index))
@@ -314,23 +339,7 @@ class _ShardWriter:
         self.stream = stream
         self.shard = shard
         self.part = stream.part_path(shard.index)
-        self.start = 0
-        offset = 0
-        if self.part.exists():
-            with self.part.open("rb") as handle:
-                while self.start < len(shard.specs):
-                    try:
-                        frame = pickle.load(handle)
-                    except _TORN_FRAME_ERRORS:
-                        break
-                    if (
-                        not isinstance(frame, tuple)
-                        or len(frame) != 2
-                        or frame[0] != shard.specs[self.start]
-                    ):
-                        break
-                    offset = handle.tell()
-                    self.start += 1
+        self.start, offset = stream.salvageable(shard)
         self._handle = self.part.open("r+b" if self.part.exists() else "wb")
         self._handle.truncate(offset)
         self._handle.seek(offset)
@@ -359,52 +368,79 @@ class _ShardWriter:
 # ---------------------------------------------------------------------------
 
 
-def _execute_shard(
+def _run_shard(
     shard: Shard,
-    stream_dir: str | os.PathLike,
+    writer: _ShardWriter | None,
     engine: str | None,
-    delay_ms: float = 0.0,
+    tracer,
     heartbeat: Callable[[], None] | None = None,
-    trace_dir: str | None = None,
-) -> tuple[int, int]:
-    """Run one shard, streaming frames to disk; returns (index, executed).
+    delay_ms: float = 0.0,
+) -> Iterator[tuple[RunSpec, SimulationResult]]:
+    """Run one shard's specs in order, yielding each executed frame.
 
-    Skips work already on disk: a completed shard is a no-op, a partial
-    ``.part`` file resumes after its salvaged prefix.  An engine override
-    rewrites how each spec executes; the *requested* spec is what lands
-    in the frame, so stream contents are override-invariant.  With
-    ``trace_dir`` set, a fork-safe per-process tracer records one
-    execute span per spec (keyed by shard ordinal + spec key) and a
-    resume event for any salvaged prefix.
+    The one per-spec execution loop of every mode.  With a ``writer``,
+    execution resumes after its salvaged prefix, each frame is appended
+    to the shard's spill file before it is yielded, and the file is
+    published as complete when the loop finishes (or left partial if it
+    is interrupted).  Without one, nothing touches disk.  An engine
+    override rewrites how each spec executes; the *requested* spec is
+    what is yielded and spilled, so results are override-invariant.
+    When tracing, each spec gets one execute span (keyed by shard
+    ordinal + spec key) and a salvaged prefix one resume event.
     """
-    tracer = obs_trace.ensure(trace_dir)
-    stream = ResultStream(stream_dir)
-    if stream.is_complete(shard.index):
-        return shard.index, 0
-    writer = _ShardWriter(stream, shard)
-    if writer.start and tracer.enabled:
+    start = 0 if writer is None else writer.start
+    if start and tracer.enabled:
         tracer.instant(
-            "shard.resume", key=("resume", shard.index, writer.start),
-            shard=shard.index, salvaged=writer.start,
+            "shard.resume", key=("resume", shard.index, start),
+            shard=shard.index, salvaged=start,
         )
-    executed = 0
     try:
-        for spec in shard.specs[writer.start :]:
+        for spec in shard.specs[start:]:
             job = spec if engine is None else replace(spec, engine=engine)
             key = (shard.index, spec_key(job)) if tracer.enabled else None
             with tracer.span("shard.execute", key=key, shard=shard.index):
                 result = run(job)
-            writer.append(spec, result)
-            executed += 1
+            if writer is not None:
+                writer.append(spec, result)
+            yield spec, result
             if heartbeat is not None:
                 heartbeat()
             if delay_ms > 0.0:
                 time.sleep(delay_ms / 1000.0)
     except BaseException:
-        writer.close(completed=False)
+        if writer is not None:
+            writer.close(completed=False)
         raise
-    writer.close(completed=True)
-    return shard.index, executed
+    if writer is not None:
+        writer.close(completed=True)
+
+
+def _execute_shard(
+    shard: Shard,
+    stream_dir: str | os.PathLike | None,
+    engine: str | None,
+    delay_ms: float = 0.0,
+    heartbeat: Callable[[], None] | None = None,
+    trace_dir: str | None = None,
+) -> tuple[int, list[tuple[RunSpec, SimulationResult]]]:
+    """Run one shard in a worker; returns ``(executed, frames)``.
+
+    Without a ``stream_dir`` the frames travel back in the return value
+    (through the pool's future).  With one they are spilled instead and
+    the returned list is empty: a completed shard is a no-op, and a
+    partial ``.part`` file resumes after its salvaged prefix.  With
+    ``trace_dir`` set, a fork-safe per-process tracer records the spans.
+    """
+    tracer = obs_trace.ensure(trace_dir)
+    if stream_dir is None:
+        frames = list(_run_shard(shard, None, engine, tracer))
+        return len(frames), frames
+    stream = ResultStream(stream_dir)
+    if stream.is_complete(shard.index):
+        return 0, []
+    writer = _ShardWriter(stream, shard)
+    frames = _run_shard(shard, writer, engine, tracer, heartbeat, delay_ms)
+    return sum(1 for _ in frames), []
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +469,7 @@ class ShardStats:
 
 
 class ShardedExecutor:
-    """Work-stealing execution of spec shards over a spill-to-disk stream.
+    """Execution of spec shards, spilling to a result stream when resumable.
 
     Parameters
     ----------
@@ -446,10 +482,12 @@ class ShardedExecutor:
     stream_dir:
         Directory for the :class:`ResultStream`.  Reusing a directory
         resumes the identical sweep: completed shards are skipped, a
-        partial shard resumes after its salvaged prefix.
+        partial shard resumes after its salvaged prefix.  None keeps
+        results off disk (``subprocess`` mode spools to a temporary
+        directory instead, removed when execution finishes).
     engine:
         Optional execution-engine override (``"vector"`` / ``"scalar"``)
-        applied at execution only; streamed frames keep requested specs.
+        applied at execution only; yielded frames keep requested specs.
     heartbeat_s:
         Subprocess-mode heartbeat period; a claim is considered stale —
         and its shard requeued for stealing — after four missed beats.
@@ -484,17 +522,17 @@ class ShardedExecutor:
         self.stats = ShardStats()
         self.stream: ResultStream | None = None
 
-    def _resolve_stream(self) -> ResultStream:
-        if self._stream_dir is None:
-            import tempfile
-
+    def _resolve_stream(self) -> ResultStream | None:
+        """The configured stream, a temporary subprocess spool, or None."""
+        directory = self._stream_dir
+        if directory is None and self.mode == "subprocess":
             self._tempdir = tempfile.TemporaryDirectory(prefix="qvr-shards-")
-            self._stream_dir = self._tempdir.name
-        self.stream = ResultStream(self._stream_dir)
+            directory = self._tempdir.name
+        self.stream = None if directory is None else ResultStream(directory)
         return self.stream
 
     def cleanup(self) -> None:
-        """Remove the temporary stream directory, when this executor owns one."""
+        """Remove the temporary spool directory, when this executor owns one."""
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None
@@ -504,43 +542,45 @@ class ShardedExecutor:
     def execute(
         self, specs: Iterable[RunSpec]
     ) -> Iterator[tuple[RunSpec, SimulationResult]]:
-        """Execute specs shard by shard, yielding frames as shards complete.
+        """Execute specs shard by shard, yielding frames as they complete.
 
-        Frames stream lazily from the spill files (memory stays bounded
-        by one pickle frame plus whatever the consumer retains); each
-        unique spec is yielded exactly once.  Yield order follows shard
-        *completion* order, which is timing-dependent — consumers key by
-        spec, and the on-disk stream itself is deterministic.
+        Each planned spec is yielded exactly once, and memory stays
+        bounded by one shard plus whatever the consumer retains.  Yield
+        order follows *completion* order, which is timing-dependent with
+        more than one worker — consumers key by spec, and the on-disk
+        stream itself is deterministic.
         """
         planned = plan_shards(list(specs), self.shards)
-        stream = self._resolve_stream()
         self.stats.shards = len(planned)
         self.stats.specs = sum(len(s) for s in planned)
         if not planned:
             return
-        digest = _plan_digest([s for shard in planned for s in shard.specs], len(planned))
-        stream.write_manifest(planned, digest)
-
-        done = set(stream.completed_shards())
-        pending = [shard for shard in planned if shard.index not in done]
-        self.stats.skipped_shards = len(planned) - len(pending)
-        for index in sorted(done):
-            yield from stream.iter_shard(index)
-        if not pending:
-            return
-
-        one_worker = len(pending) == 1 or self.workers == 1
-        if self.mode == "inline" or (self.mode == "process" and one_worker):
-            # A single process-pool worker is sequential execution with
-            # pickling overhead; run the reference inline order instead.
-            yield from self._run_inline(pending)
-            return
-        if self.mode == "process":
-            runner = self._run_pool(pending)
-        else:
-            runner = self._run_subprocess(pending)
-        for index in runner:
-            yield from stream.iter_shard(index)
+        stream = self._resolve_stream()
+        try:
+            pending = list(planned)
+            if stream is not None:
+                digest = _plan_digest(
+                    [s for shard in planned for s in shard.specs], len(planned)
+                )
+                stream.write_manifest(planned, digest)
+                done = set(stream.completed_shards())
+                pending = [shard for shard in planned if shard.index not in done]
+                self.stats.skipped_shards = len(planned) - len(pending)
+                for index in sorted(done):
+                    yield from stream.iter_shard(index)
+            if not pending:
+                return
+            one_worker = len(pending) == 1 or self.workers == 1
+            if self.mode == "inline" or (self.mode == "process" and one_worker):
+                # A single process-pool worker is sequential execution with
+                # pickling overhead; run the reference inline order instead.
+                yield from self._run_inline(pending)
+            elif self.mode == "process":
+                yield from self._run_pool(pending)
+            else:
+                yield from self._run_subprocess(pending)
+        finally:
+            self.cleanup()
 
     # -- inline ---------------------------------------------------------------
 
@@ -550,121 +590,85 @@ class ShardedExecutor:
         """Execute shards in this process, yielding frames as they finish.
 
         Results cross no process boundary here, so each frame is yielded
-        live while its bytes are spilled — the multi-process modes'
-        write-then-read-back round trip would be pure overhead.  The
-        spill files still record every frame (same resume and provenance
-        contract as the other modes); a salvaged prefix is replayed from
-        disk before execution resumes after it.
+        live.  With a stream every frame is also spilled (same resume and
+        provenance contract as the other modes), and a salvaged prefix is
+        replayed from disk before execution resumes after it.
         """
         tracer = obs_trace.active()
         for shard in pending:
-            writer = _ShardWriter(self.stream, shard)
-            self.stats.salvaged += writer.start
-            if writer.start:
-                if tracer.enabled:
-                    tracer.instant(
-                        "shard.resume",
-                        key=("resume", shard.index, writer.start),
-                        shard=shard.index, salvaged=writer.start,
+            writer = None
+            if self.stream is not None:
+                writer = _ShardWriter(self.stream, shard)
+                self.stats.salvaged += writer.start
+                if writer.start:
+                    # The writer truncated the spill to exactly the salvaged
+                    # prefix, so a plain scan replays just those frames.
+                    yield from ResultStream._iter_frames(
+                        self.stream.part_path(shard.index)
                     )
-                # The writer truncated the spill to exactly the salvaged
-                # prefix, so a plain scan replays just those frames.
-                yield from ResultStream._iter_frames(
-                    self.stream.part_path(shard.index)
-                )
-            try:
-                for spec in shard.specs[writer.start :]:
-                    job = spec if self.engine is None else replace(spec, engine=self.engine)
-                    key = (shard.index, spec_key(job)) if tracer.enabled else None
-                    with tracer.span("shard.execute", key=key, shard=shard.index):
-                        result = run(job)
-                    writer.append(spec, result)
-                    self.stats.executed += 1
-                    yield spec, result
-            except BaseException:
-                writer.close(completed=False)
-                raise
-            writer.close(completed=True)
+            for frame in _run_shard(shard, writer, self.engine, tracer):
+                self.stats.executed += 1
+                yield frame
 
     # -- process pool ----------------------------------------------------------
 
-    def _run_pool(self, pending: list[Shard]) -> Iterator[int]:
-        """Parent-scheduled work stealing over a process pool.
+    def _run_pool(
+        self, pending: list[Shard]
+    ) -> Iterator[tuple[RunSpec, SimulationResult]]:
+        """Run every pending shard on a process pool, yielding as shards finish.
 
-        Shards are dealt round-robin into per-worker queues; a finishing
-        worker takes the next shard from the head of its own queue, or —
-        once drained — steals from the *tail* of the longest surviving
-        queue.  The pool itself runs tasks wherever a process is free,
-        so the queues model scheduling order (which shard is dispatched
-        when and counted as a steal), not processor affinity.
+        All shards are submitted up front; the pool's free processes take
+        them in order.  Without a stream a worker returns its shard's
+        frames through the future; with one it spills them, and the
+        completed shard file is read back here.
         """
+        stream = self.stream
         workers = min(self.workers, len(pending))
         self.stats.workers = workers
-        queues: list[deque[Shard]] = [deque() for _ in range(workers)]
-        for position, shard in enumerate(pending):
-            queues[position % workers].append(shard)
-        for shard in pending:
-            self.stats.salvaged += _salvage_count(self.stream, shard)
-
-        def next_shard(worker: int) -> tuple[Shard, bool] | None:
-            """Pop local work, or steal from the longest queue."""
-            if queues[worker]:
-                return queues[worker].popleft(), False
-            victim = max(range(workers), key=lambda w: (len(queues[w]), -w))
-            if queues[victim]:
-                return queues[victim].pop(), True
-            return None
-
-        tracer = obs_trace.active()
+        stream_dir = None if stream is None else str(stream.directory)
+        trace_dir = obs_trace.active().directory
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[concurrent.futures.Future, int] = {}
-
-            def dispatch(worker: int) -> None:
-                """Run one claimed shard, then requeue this worker."""
-                claimed = next_shard(worker)
-                if claimed is None:
-                    return
-                shard, stolen = claimed
-                if stolen:
-                    self.stats.steals += 1
-                    tracer.instant(
-                        "shard.steal", key=("steal", shard.index),
-                        shard=shard.index, worker=worker,
-                    )
-                future = pool.submit(
-                    _execute_shard,
-                    shard,
-                    str(self.stream.directory),
-                    self.engine,
-                    trace_dir=tracer.directory,
-                )
-                futures[future] = worker
-
-            for worker in range(workers):
-                dispatch(worker)
-            while futures:
-                completed = next(concurrent.futures.as_completed(futures))
-                worker = futures.pop(completed)
-                index, executed = completed.result()
-                self.stats.executed += executed
-                dispatch(worker)
-                yield index
+            futures = {
+                pool.submit(
+                    _execute_shard, shard, stream_dir, self.engine,
+                    trace_dir=trace_dir,
+                ): shard
+                for shard in pending
+            }
+            try:
+                for future in concurrent.futures.as_completed(futures):
+                    # Popped so a yielded shard's results are not retained.
+                    shard = futures.pop(future)
+                    executed, frames = future.result()
+                    self.stats.executed += executed
+                    if stream is not None:
+                        self.stats.salvaged += len(shard) - executed
+                        frames = stream.iter_shard(shard.index)
+                    yield from frames
+            finally:
+                # An abandoned or failed sweep must not wait for the rest.
+                for future in futures:
+                    future.cancel()
 
     # -- subprocess (simulated multi-machine) -----------------------------------
 
-    def _run_subprocess(self, pending: list[Shard]) -> Iterator[int]:
+    def _run_subprocess(
+        self, pending: list[Shard]
+    ) -> Iterator[tuple[RunSpec, SimulationResult]]:
         """Spool shards, launch claim-based workers, police heartbeats.
 
         The parent's only runtime roles are liveness and completion: it
         requeues shards whose claimant died or stopped heartbeating (the
         surviving workers then steal them), and falls back to inline
         execution if every worker has exited with work still pending, so
-        the sweep always completes.
+        the sweep always completes.  Once the workers are gone, each
+        shard a worker completed outside its own partition counts as a
+        steal.
         """
         stream = self.stream
         stream.write_shard_specs(pending)
-        for shard in pending:
-            self.stats.salvaged += _salvage_count(stream, shard)
+        salvaged = {shard.index: stream.salvageable(shard)[0] for shard in pending}
+        self.stats.salvaged += sum(salvaged.values())
         workers = min(self.workers, len(pending))
         self.stats.workers = workers
         env = dict(os.environ)
@@ -700,42 +704,34 @@ class ShardedExecutor:
         ]
         stale_after = self.heartbeat_s * _STALE_HEARTBEATS
         remaining = {shard.index: shard for shard in pending}
-        executed_before = {
-            shard.index: _salvage_count(stream, shard) for shard in pending
-        }
         try:
             while remaining:
                 for index in sorted(remaining):
                     if stream.is_complete(index):
                         shard = remaining.pop(index)
-                        self.stats.executed += len(shard.specs) - executed_before[index]
-                        yield index
+                        self.stats.executed += len(shard.specs) - salvaged[index]
+                        yield from stream.iter_shard(index)
                 if not remaining:
                     break
                 self._requeue_stale(remaining, stale_after)
                 if all(proc.poll() is not None for proc in procs):
                     # Every worker exited; run what is left ourselves.
-                    leftovers = [
-                        remaining[index]
-                        for index in sorted(remaining)
-                        if not stream.is_complete(index)
-                    ]
-                    for shard in leftovers:
-                        stream.claim_path(shard.index).unlink(missing_ok=True)
-                        before = _salvage_count(stream, shard)
-                        obs_trace.active().instant(
-                            "shard.fallback", key=("fallback", shard.index),
-                            shard=shard.index,
-                        )
-                        _execute_shard(
-                            shard, stream.directory, self.engine,
-                            trace_dir=obs_trace.active().directory,
-                        )
-                        self.stats.executed += len(shard.specs) - before
-                        self.stats.inline_fallback += 1
-                        _write_owner(stream, shard.index, "parent")
-                        del remaining[shard.index]
-                        yield shard.index
+                    for index in sorted(remaining):
+                        shard = remaining.pop(index)
+                        if not stream.is_complete(index):
+                            stream.claim_path(index).unlink(missing_ok=True)
+                            obs_trace.active().instant(
+                                "shard.fallback", key=("fallback", index),
+                                shard=index,
+                            )
+                            _execute_shard(
+                                shard, stream.directory, self.engine,
+                                trace_dir=obs_trace.active().directory,
+                            )
+                            self.stats.inline_fallback += 1
+                            _write_owner(stream, index, "parent")
+                        self.stats.executed += len(shard.specs) - salvaged[index]
+                        yield from stream.iter_shard(index)
                     break
                 time.sleep(min(0.05, self.heartbeat_s / 4))
         finally:
@@ -748,6 +744,11 @@ class ShardedExecutor:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait()
+            for shard in pending:
+                owner = stream.owner_path(shard.index)
+                home = f"worker-{shard.index % workers}\n"
+                if owner.exists() and owner.read_text() not in (home, "parent\n"):
+                    self.stats.steals += 1
 
     def _requeue_stale(self, remaining: dict[int, Shard], stale_after: float) -> None:
         """Release claims whose owner died or whose heartbeat went stale."""
@@ -770,18 +771,6 @@ class ShardedExecutor:
                     "shard.requeue", key=("requeue", index, self.stats.requeues),
                     shard=index, owner_pid=pid, dead=dead,
                 )
-
-
-def _salvage_count(stream: ResultStream, shard: Shard) -> int:
-    """Frames of ``shard`` already valid on disk (its resumable prefix)."""
-    if stream.is_complete(shard.index):
-        return len(shard.specs)
-    count = 0
-    for spec, _ in stream._iter_frames(stream.part_path(shard.index)):
-        if count >= len(shard.specs) or spec != shard.specs[count]:
-            break
-        count += 1
-    return count
 
 
 def _pid_alive(pid: int) -> bool:

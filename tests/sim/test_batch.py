@@ -218,10 +218,10 @@ class TestCache:
                 raise RuntimeError("worker died")
             return original_run(spec)
 
-        import repro.sim.runner as runner_module
+        import repro.sim.shard as shard_module
 
         monkey = pytest.MonkeyPatch()
-        monkey.setattr(runner_module, "run", boom)
+        monkey.setattr(shard_module, "run", boom)
         try:
             with pytest.raises(RuntimeError):
                 engine.run_specs(specs)
@@ -264,6 +264,22 @@ class TestCache:
         assert engine.stats.deduplicated == 2
         assert engine.stats.executed == 1
         assert len(batch) == 1
+
+    def test_stream_specs_yields_one_pair_per_requested_spec(self, tmp_path):
+        a, b = _small_sweep().specs()[:2]
+        requested = [a, b, a, a, b]
+        engine = BatchEngine(cache_dir=tmp_path)
+        pairs = list(engine.stream_specs(requested))
+        assert sorted(spec_key(spec) for spec, _ in pairs) == sorted(
+            spec_key(spec) for spec in requested
+        )
+        assert all(_bit_identical(result, run(spec)) for spec, result in pairs)
+        assert (engine.stats.unique, engine.stats.executed) == (2, 2)
+        # Served again from the disk cache, duplicates still yield per request.
+        again = BatchEngine(cache_dir=tmp_path)
+        assert len(list(again.stream_specs(requested))) == len(requested)
+        assert (again.stats.unique, again.stats.cache_hits) == (2, 2)
+        assert again.stats.executed == 0
 
 
 class TestEngineValidation:

@@ -322,6 +322,28 @@ class TestRunPopulation:
             serial_report, sort_keys=True
         )
 
+    def test_duplicate_client_sessions_each_fold(
+        self, scenario, serial_report, monkeypatch
+    ):
+        """Two client-sessions sharing a spec are still two client-sessions."""
+        expand = DemandScenario.expand
+
+        def twice(self, seed=0, max_sessions=None):
+            planned = expand(self, seed, max_sessions=max_sessions)
+            return planned + planned
+
+        monkeypatch.setattr(DemandScenario, "expand", twice)
+        engine = BatchEngine()
+        report = run_population(scenario, seed=7, engine=engine)
+        for policy, row in report["policies"].items():
+            single = serial_report["policies"][policy]
+            assert row["client_sessions"] == 2 * single["client_sessions"]
+            assert row["executed"] == row["client_sessions"]
+            assert row["frames"] == 2 * single["frames"]
+        # Each distinct spec still executes once.
+        assert engine.stats.executed == engine.stats.unique
+        assert engine.stats.deduplicated == engine.stats.unique
+
     def test_different_seed_different_report(self, scenario, serial_report):
         other = run_population(scenario, seed=8, engine=BatchEngine())
         assert json.dumps(other, sort_keys=True) != json.dumps(

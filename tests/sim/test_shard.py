@@ -1,4 +1,4 @@
-"""Tests for the sharded work-stealing executor and its result stream.
+"""Tests for the sharded executor and its result stream.
 
 Bit-identity is asserted through ``pickle.dumps`` equality (dataclass
 ``==`` is false-negative on NaN fields); the determinism contract under
@@ -6,17 +6,22 @@ test is that any shard count, worker count, execution mode, crash, or
 resume produces byte-identical results to a flat serial run.
 """
 
+import itertools
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim.runner import BatchEngine, RunSpec, Sweep, run, spec_key
+from repro.sim.systems import SYSTEM_NAMES
 from repro.sim import shard as shard_module
 from repro.sim.shard import (
     _DELAY_ENV,
@@ -87,7 +92,7 @@ class TestBitParityAcrossShards:
             executor = ShardedExecutor(shards=shards, mode="inline")
             assert _collect(executor, specs) == reference
 
-    def test_process_pool_parity_with_stealing(self):
+    def test_process_pool_parity(self):
         specs = _sweep_specs()
         reference = _reference(specs)
         executor = ShardedExecutor(shards=7, workers=2, mode="process")
@@ -108,6 +113,9 @@ class TestBitParityAcrossShards:
             for index in range(3)
         }
         assert all(owner.startswith("worker-") for owner in owners.values())
+        # A steal is a shard completed outside its worker's own partition.
+        stolen = sum(owner != f"worker-{index % 2}" for index, owner in owners.items())
+        assert executor.stats.steals == stolen
 
     def test_single_spec_sweep(self):
         specs = _sweep_specs(seeds=(0,))[:1]
@@ -377,3 +385,49 @@ class TestBatchEngineIntegration:
         assert got == reference
         assert second.last_shard_stats.executed == 0
         assert second.last_shard_stats.skipped_shards == 3
+
+
+@st.composite
+def _spec_lists(draw):
+    """Up to six short specs drawn from a pool of four, duplicates allowed."""
+    spec = st.builds(
+        lambda system, app, n_frames, seed: RunSpec(
+            system=system, app=app, n_frames=n_frames, seed=seed, warmup_frames=1
+        ),
+        system=st.sampled_from(SYSTEM_NAMES),
+        app=st.sampled_from(("Doom3-L", "GRID", "UT3")),
+        n_frames=st.integers(2, 12),
+        seed=st.integers(0, 3),
+    )
+    pool = draw(st.lists(spec, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+class TestFlatEqualsSharded:
+    @settings(max_examples=6, deadline=None)
+    @given(specs=_spec_lists())
+    def test_every_configuration_matches_direct_runs(self, specs):
+        reference = {spec: pickle.dumps(run(spec)) for spec in specs}
+        configs = itertools.product((1, 2), (None, 1, 3), ("inline", "process"), (False, True))
+        with tempfile.TemporaryDirectory() as root:
+            streams = []
+            for k, (jobs, shards, mode, streamed) in enumerate(configs):
+                stream_dir = Path(root, f"stream-{k}") if streamed else None
+
+                def engine():
+                    return BatchEngine(
+                        jobs=jobs, shards=shards, shard_mode=mode, stream_dir=stream_dir
+                    )
+
+                # Runs must create no files outside their stream: a temporary
+                # directory under a missing root would fail loudly.
+                with mock.patch.object(tempfile, "tempdir", str(Path(root, "missing"))):
+                    batch = engine().run_specs(specs)
+                    pairs = list(engine().stream_specs(specs))
+                assert list(batch) == list(dict.fromkeys(specs))
+                assert {s: pickle.dumps(r) for s, r in batch.items()} == reference
+                assert sorted(spec_key(s) for s, _ in pairs) == sorted(map(spec_key, specs))
+                assert all(pickle.dumps(r) == reference[s] for s, r in pairs)
+                if streamed and specs:
+                    streams.append(stream_dir.name)
+                assert sorted(os.listdir(root)) == sorted(streams)

@@ -372,9 +372,9 @@ class TestPopulationCommand:
         assert args.max_sessions is None
         assert args.stream_dir is None
 
-    def test_bare_stream_flag_parses_to_empty(self):
-        args = build_parser().parse_args(["population", "city.json", "--stream"])
-        assert args.stream_dir == ""
+    def test_stream_flag_requires_a_directory(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["population", "city.json", "--stream"])
         args = build_parser().parse_args(
             ["population", "city.json", "--stream", "spill-dir"]
         )
