@@ -29,8 +29,7 @@ from pathlib import Path
 
 from repro import constants
 from repro.sim.fleet import RenderFleet, ServerDown, ServerUp
-from repro.sim.multiuser import ClientSpec
-from repro.sim.session import Join, Leave, Session
+from repro.sim.session import ClientSpec, Join, Leave, Session
 
 #: Stress-fleet shape: three homogeneous servers, least-loaded placement
 #: so capacity toggles genuinely displace and re-seat clients.

@@ -811,7 +811,7 @@ def admission_scheduling(
     accelerates the grid), and fair-share expands to the exact legacy
     specs — its rows double as the regression baseline.
     """
-    from repro.sim.multiuser import ClientSpec, MultiUserScenario
+    from repro.sim.session import ClientSpec, Session
 
     trace = trace if trace is not None else default_admission_trace(n_frames)
     if len(trace.times_ms) != 3:
@@ -821,21 +821,21 @@ def admission_scheduling(
         )
     drop_start, drop_end = trace.times_ms[1], trace.times_ms[2]
     platform = PlatformConfig(network=trace)
-    plans = {
-        policy: MultiUserScenario.heterogeneous(
-            tuple(ClientSpec(app) for app in apps),
+    specs = {
+        policy: Session(
+            clients=tuple(ClientSpec(app) for app in apps),
             platform=platform,
             policy=policy,
-        ).plan(n_frames=n_frames, seed=seed)
+        ).timeline(n_frames=n_frames, seed=seed).specs
         for policy in policies
     }
     chosen = engine if engine is not None else default_engine()
     batch = chosen.run_specs(
-        [spec for plan in plans.values() for spec in plan.specs]
+        [spec for policy_specs in specs.values() for spec in policy_specs]
     )
     rows: list[AdmissionRow] = []
-    for policy, plan in plans.items():
-        for spec in plan.specs:
+    for policy, policy_specs in specs.items():
+        for spec in policy_specs:
             result = batch[spec]
             drop_fps, drop_p99 = _window_fps(result.records, drop_start, drop_end)
             rows.append(
@@ -905,9 +905,8 @@ def default_churn_session(
     equivalent server in queue mode; a third client joins mid-session
     and must wait until the light incumbent departs.
     """
-    from repro.sim.multiuser import ClientSpec
     from repro.sim.server import RenderServer
-    from repro.sim.session import Join, Leave, Session
+    from repro.sim.session import ClientSpec, Join, Leave, Session
 
     trace = trace if trace is not None else default_admission_trace(n_frames)
     duration_ms = n_frames * constants.FRAME_BUDGET_MS
@@ -1042,8 +1041,7 @@ def default_failover_session(n_frames: int, mode: str = "least-loaded"):
     ``"requeue"`` parks it at the starvation share behind the incumbent.
     """
     from repro.sim.fleet import RenderFleet, ServerFail
-    from repro.sim.multiuser import ClientSpec
-    from repro.sim.session import Session
+    from repro.sim.session import ClientSpec, Session
 
     if mode not in FAILOVER_MODES:
         raise ValueError(

@@ -74,11 +74,6 @@ from repro.sim.fleet import (
     ServerUp,
     fleet_from_payload,
 )
-from repro.sim.multiuser import (
-    ClientSpec,
-    MultiUserScenario,
-    simulate_shared_infrastructure,
-)
 from repro.sim.runner import (
     BatchEngine,
     ENGINE_NAMES,
@@ -89,11 +84,13 @@ from repro.sim.runner import (
 from repro.sim.server import OVERFLOW_MODES, POLICY_NAMES, RenderServer
 from repro.sim.shard import SHARD_MODES
 from repro.sim.session import (
+    ClientSpec,
     Join,
     Leave,
     ProfileSwitch,
     Session,
     SessionEvent,
+    SessionResult,
     events_from_motion,
     simulate_session,
 )
@@ -493,12 +490,12 @@ def _parse_events(path: str) -> tuple[SessionEvent, ...]:
     entries carrying ``t_ms`` plus exactly one of:
 
     * ``"join": "APP[:PROFILE[:FREQ_MHZ]]"`` — a new client arrives;
-    * ``"leave": INDEX`` — session client INDEX departs;
+    * ``"leave": INDEX`` — session client INDEX (a JSON integer) departs;
     * ``"switch": INDEX, "profile": NAME`` — client INDEX roams onto
       another link profile (or trace CSV path);
     * ``"up": SERVER`` / ``"down": SERVER`` / ``"fail": SERVER`` — fleet
       capacity events (require ``--fleet``); ``down`` takes an optional
-      ``"drain": false`` to skip the graceful migration.
+      JSON-boolean ``"drain": false`` to skip the graceful migration.
     """
     try:
         with open(path) as handle:
@@ -553,13 +550,12 @@ def _parse_events(path: str) -> tuple[SessionEvent, ...]:
         elif kinds[0] == "up":
             events.append(ServerUp(t_ms, server=str(entry["up"])))
         elif kinds[0] == "down":
-            events.append(
-                ServerDown(
-                    t_ms,
-                    server=str(entry["down"]),
-                    drain=bool(entry.get("drain", True)),
+            drain = entry.get("drain", True)
+            if not isinstance(drain, bool):
+                raise ConfigurationError(
+                    f"bad drain {drain!r} in {path!r}, expected a JSON boolean: {entry}"
                 )
-            )
+            events.append(ServerDown(t_ms, server=str(entry["down"]), drain=drain))
         else:
             events.append(ServerFail(t_ms, server=str(entry["fail"])))
     return tuple(events)
@@ -591,13 +587,13 @@ def _parse_fleet(path: str) -> RenderFleet:
 
 
 def _event_index(entry: dict, key: str, path: str) -> int:
-    """The client index of a leave/switch entry, validated."""
-    try:
-        return int(entry[key])
-    except (TypeError, ValueError):
+    """The client index of a leave/switch entry: a JSON integer, nothing else."""
+    index = entry[key]
+    if isinstance(index, bool) or not isinstance(index, int):
         raise ConfigurationError(
-            f"bad client index {entry[key]!r} for {key!r} in {path!r}: {entry}"
-        ) from None
+            f"bad client index {index!r} for {key!r} in {path!r}: {entry}"
+        )
+    return index
 
 
 def _server_from(args: argparse.Namespace) -> RenderServer | None:
@@ -629,13 +625,15 @@ def _motion_events(
     )
 
 
-def _cmd_session(args: argparse.Namespace, clients: tuple[ClientSpec, ...]) -> None:
-    """The event-driven branch of ``repro scenarios``.
+def _cmd_scenarios(args: argparse.Namespace) -> None:
+    """Build one :class:`Session` for every scenario shape and run it.
 
-    Taken for ``--events``, ``--fleet``, and/or ``--motion-events``; a
-    fleet session prints per-server occupancy and placement history on
-    top of the usual epoch/fate tables.
+    ``--events``, ``--fleet`` and ``--motion-events`` make it an
+    event-driven session, printed as epoch/fate tables (plus per-server
+    occupancy and placement history on a fleet); without them the
+    session is static and prints one admission row per client.
     """
+    clients = tuple(_parse_client(token) for token in args.clients)
     fleet = _parse_fleet(args.fleet) if args.fleet is not None else None
     if fleet is not None and (args.capacity is not None or args.overflow is not None):
         raise ConfigurationError(
@@ -662,6 +660,16 @@ def _cmd_session(args: argparse.Namespace, clients: tuple[ClientSpec, ...]) -> N
         system=args.system,
         engine=_engine_from(args),
     )
+    if args.events is None and fleet is None and args.motion_events is None:
+        _print_static_session(args, session, result)
+    else:
+        _print_dynamic_session(args, fleet, result)
+
+
+def _print_dynamic_session(
+    args: argparse.Namespace, fleet: RenderFleet | None, result: SessionResult
+) -> None:
+    """Epoch, fate (and, on a fleet, per-server) tables of a churning session."""
     timeline = result.timeline
     print(
         format_table(
@@ -772,57 +780,24 @@ def _cmd_session(args: argparse.Namespace, clients: tuple[ClientSpec, ...]) -> N
     )
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> None:
-    clients = tuple(_parse_client(token) for token in args.clients)
-    if (
-        args.events is not None
-        or args.fleet is not None
-        or args.motion_events is not None
-    ):
-        _cmd_session(args, clients)
-        return
-    scenario = MultiUserScenario.heterogeneous(
-        clients,
-        sharing_efficiency=args.sharing_efficiency,
-        policy=args.policy,
-        server=_server_from(args),
-    )
-    result = simulate_shared_infrastructure(
-        scenario,
-        n_frames=args.frames,
-        seed=args.seed,
-        system=args.system,
-        engine=_engine_from(args),
-    )
-    assert result.decisions is not None
-    results_by_index = dict(
-        zip((d.client_index for d in result.decisions if d.serviced),
-            result.per_client)
-    )
+def _print_static_session(
+    args: argparse.Namespace, session: Session, result: SessionResult
+) -> None:
+    """One admission row per client of an event-free session."""
     rows = []
-    for decision, client in zip(result.decisions, clients):
-        platform = client.resolved_platform(scenario.platform)
+    for decision in result.timeline.epochs[0].decisions:
+        client = session.clients[decision.client_index]
+        platform = client.resolved_platform(session.platform)
         network = platform.network
-        client_result = results_by_index.get(decision.client_index)
-        if client_result is None:
-            rows.append(
-                [client.app, getattr(network, "name", type(network).__name__),
-                 f"{platform.gpu.frequency_mhz:.0f}", decision.action,
-                 "-", "-", "-", "-"]
-            )
-            continue
-        rows.append(
-            [
-                client.app,
-                getattr(network, "name", type(network).__name__),
-                f"{platform.gpu.frequency_mhz:.0f}",
-                decision.action,
-                client_result.mean_e1_deg,
-                client_result.measured_fps,
-                client_result.mean_latency_ms,
-                "yes" if client_result.meets_target_fps else "no",
-            ]
-        )
+        row = [client.app, getattr(network, "name", type(network).__name__),
+               f"{platform.gpu.frequency_mhz:.0f}", decision.action]
+        run = result.result_for(decision.client_index)
+        if run is None:
+            row += ["-", "-", "-", "-"]
+        else:
+            row += [run.mean_e1_deg, run.measured_fps, run.mean_latency_ms,
+                    "yes" if run.meets_target_fps else "no"]
+        rows.append(row)
     print(
         format_table(
             [
@@ -831,7 +806,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
             ],
             rows,
             title=(
-                f"{args.system} — {scenario.n_clients} heterogeneous clients, "
+                f"{args.system} — {session.n_clients} heterogeneous clients, "
                 f"shared server + downlink, {args.policy} scheduling, "
                 f"{args.engine} engine"
             ),

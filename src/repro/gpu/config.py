@@ -10,6 +10,7 @@ moving 16 bytes per cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro import constants
@@ -56,8 +57,10 @@ class GPUConfig:
     dram_channels: int = 8
 
     def __post_init__(self) -> None:
-        if self.frequency_mhz <= 0:
-            raise ConfigurationError(f"frequency must be > 0, got {self.frequency_mhz}")
+        if not math.isfinite(self.frequency_mhz) or self.frequency_mhz <= 0:
+            raise ConfigurationError(
+                f"frequency must be finite and > 0, got {self.frequency_mhz}"
+            )
         for field_name in (
             "num_shaders",
             "simd_width",

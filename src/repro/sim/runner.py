@@ -309,7 +309,7 @@ class Sweep:
     shares as fair-share — so the axis exercises policy plumbing and
     separates cache keys without changing uniform-roster results;
     heterogeneous rosters where policies truly diverge are expressed via
-    :class:`~repro.sim.multiuser.MultiUserScenario`.
+    :class:`~repro.sim.session.Session`.
     """
 
     systems: tuple[str, ...]

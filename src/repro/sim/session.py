@@ -1,16 +1,19 @@
-"""Event-driven collaborative sessions: join, leave, re-admit, promote.
+"""Collaborative sessions: one roster, optional churn, one epoch walker.
 
 The paper's planet-scale framing ("users around the world, regardless of
-their hardware and network conditions") implies sessions that *churn*:
-clients join mid-session, leave early, and roam between links.  Surveys
-of synchronous VR/AR collaboration treat exactly this dynamism as the
-defining workload of multi-party systems, yet a frozen
-:class:`~repro.sim.multiuser.SessionPlan` can only describe a roster
-decided once at admission time.
+their hardware and network conditions") puts **several Q-VR clients on
+one rendering server and one access link**.  Each :class:`ClientSpec`
+names its own ``(app, platform, profile)`` tuple — one participant on a
+flagship SoC over Wi-Fi, another on a throttled GPU over a 4G link that
+drops mid-run — and every client runs the full Q-VR control loop
+against its share of the server and the downlink, so its LIWC observes a
+degraded environment and re-balances by growing its local fovea.
+Surveys of synchronous VR/AR collaboration also treat *churn* as the
+defining workload of multi-party systems: clients join mid-session,
+leave early, and roam between links.
 
-This module is the dynamic surface.  A :class:`Session` composes
-:class:`~repro.sim.multiuser.ClientSpec` values with a typed event
-timeline —
+A :class:`Session` composes :class:`ClientSpec` values with an optional
+typed event timeline —
 
 * :class:`Join` — a new client arrives mid-session;
 * :class:`Leave` — a client departs (freeing its server capacity);
@@ -41,10 +44,10 @@ spec.  Only the seating step depends on the session's shape:
   everyone and freezes unscheduled specs.
 
 A session without events is a one-epoch walk whose window is the
-planning horizon, so it plans exactly as
-:class:`~repro.sim.multiuser.MultiUserScenario` always planned it (that
-class is now a thin shim over such a session): same specs, same cache
-keys, bit-identical results.
+planning horizon: its ``epochs[0].decisions`` are the admission verdicts
+for the whole roster, and the legacy fair-share session freezes the
+same specs — same cache keys, bit-identical results — as the earliest
+static multi-user releases.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (fleet imports session)
     from repro.sim.fleet import RenderFleet
 
 __all__ = [
+    "ClientSpec",
     "SessionEvent",
     "CapacityEvent",
     "Join",
@@ -113,10 +117,55 @@ __all__ = [
 _HORIZON_SLACK = 3.0
 
 
-def _client_spec(value):
-    """Promote a bare app name to a ClientSpec (late import: shim cycle)."""
-    from repro.sim.multiuser import ClientSpec
+@dataclass(frozen=True)
+class ClientSpec:
+    """One participant of a shared session: app, hardware, link dynamics.
 
+    Attributes
+    ----------
+    app:
+        The title this client runs.
+    platform:
+        The client's own platform; ``None`` inherits the session default.
+    profile:
+        Link conditions/profile override (a
+        :class:`~repro.network.profile.NetworkProfile`, static
+        conditions, or a registry name); ``None`` keeps the platform's
+        network.  A client whose resolved network differs from the
+        session default is on a *private* link: it still shares the
+        rendering server, but its downlink is not divided across the
+        session's clients.
+    system:
+        Per-client system design override; ``None`` uses the session
+        run's system.
+    weight:
+        Demand in client-equivalents, the admission controller's
+        currency (see :class:`~repro.sim.server.RenderServer`); 1.0 is
+        one full-demand client.  Must be finite and > 0.
+    """
+
+    app: str
+    platform: PlatformConfig | None = None
+    profile: NetworkProfile | NetworkConditions | str | None = None
+    system: str | None = None
+    weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.weight) or self.weight <= 0:
+            raise ConfigurationError(
+                f"client weight must be finite and > 0, got {self.weight}"
+            )
+
+    def resolved_platform(self, default: PlatformConfig) -> PlatformConfig:
+        """The platform this client runs on, with its profile applied."""
+        platform = self.platform if self.platform is not None else default
+        if self.profile is not None:
+            platform = replace(platform, network=as_profile(self.profile))
+        return platform
+
+
+def _client_spec(value) -> ClientSpec:
+    """Promote a bare app name to a ClientSpec."""
     return value if isinstance(value, ClientSpec) else ClientSpec(app=value)
 
 
@@ -194,7 +243,7 @@ class Join(SessionEvent):
 
     rank: ClassVar[int] = 2
 
-    spec: "object" = None  # ClientSpec or app-name string
+    spec: ClientSpec | str | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -250,12 +299,13 @@ class Session:
     ----------
     clients:
         Clients present at t = 0 (bare app-name strings are promoted to
-        :class:`~repro.sim.multiuser.ClientSpec`).
+        :class:`ClientSpec`); ``("GRID",) * 4`` is four co-located
+        clients running the same title.
     events:
         The churn timeline; events are applied in time order (ties keep
-        declaration order).  Without events the session is *static* and
-        plans exactly as :class:`~repro.sim.multiuser.MultiUserScenario`
-        always planned — same specs, same cache keys.
+        declaration order).  Without events the session is *static*: one
+        epoch, whose ``decisions`` are the admission verdicts for the
+        whole roster.
     platform:
         The default single-user platform being shared.
     sharing_efficiency:
@@ -706,7 +756,7 @@ class _ClientState:
     def __init__(
         self,
         index: int,
-        spec,
+        spec: ClientSpec,
         joined_ms: float,
         resolved: PlatformConfig,
     ) -> None:
@@ -1028,7 +1078,7 @@ class ClientTimeline:
     """
 
     index: int
-    spec: "object"
+    spec: ClientSpec
     joined_ms: float
     start_ms: float | None
     end_ms: float | None
@@ -1111,18 +1161,6 @@ class SessionTimeline:
             if spec_key(spec) in wanted:
                 result.fold_into(latency=latency, fps=fps)
         return latency, fps
-
-    def plan(self):
-        """The legacy single-epoch view (``MultiUserScenario.plan()``)."""
-        from repro.sim.multiuser import SessionPlan
-
-        if len(self.epochs) != 1:
-            raise ConfigurationError(
-                "SessionPlan is the static single-epoch view; this session "
-                f"re-planned {len(self.epochs)} epochs — consume the "
-                "timeline instead"
-            )
-        return SessionPlan(decisions=self.epochs[0].decisions, specs=self.specs)
 
 
 # ---------------------------------------------------------------------------
@@ -1256,6 +1294,20 @@ class SessionResult:
         return float(np.mean([r.measured_fps for r in self.per_client]))
 
     @property
+    def mean_e1_deg(self) -> float:
+        """Average steady-state eccentricity across serviced clients."""
+        if not self.per_client:
+            return float("nan")
+        return float(np.mean([r.mean_e1_deg for r in self.per_client]))
+
+    @property
+    def mean_latency_ms(self) -> float:
+        """Average end-to-end latency across serviced clients."""
+        if not self.per_client:
+            return float("nan")
+        return float(np.mean([r.mean_latency_ms for r in self.per_client]))
+
+    @property
     def clients_meeting_fps(self) -> int:
         """How many serviced clients hold the 90 Hz requirement."""
         return sum(1 for r in self.per_client if r.meets_target_fps)
@@ -1269,13 +1321,15 @@ def simulate_session(
     engine: BatchEngine | None = None,
     warmup_frames: int | None = None,
 ) -> SessionResult:
-    """Plan and execute an event-driven session end to end.
+    """Plan and execute a session end to end.
 
-    The timeline's frozen specs run through the batch engine (the
-    caller's, or the default serial one), so parallel and caching
-    engines accelerate churn studies exactly as they accelerate figure
-    sweeps; clients the admission controller never serviced contribute
-    no result but keep their verdicts on the timeline.
+    The one multi-user entry point, for static rosters and churning
+    sessions alike.  The timeline's frozen specs run through the batch
+    engine (the caller's, or the default serial one), so parallel and
+    caching engines accelerate multi-user and churn studies exactly as
+    they accelerate figure sweeps; clients the admission controller
+    never serviced contribute no result but keep their verdicts on the
+    timeline.
     """
     timeline = session.timeline(
         system=system, n_frames=n_frames, seed=seed, warmup_frames=warmup_frames

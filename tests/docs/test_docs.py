@@ -1,6 +1,7 @@
 """Keep the docs/ tree honest: working links, CLI reference in sync."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -14,6 +15,10 @@ PAGES = DOCS + [REPO / "README.md"]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+_IMPORT = re.compile(
+    r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]+)", re.M
+)
 
 
 def test_docs_tree_exists():
@@ -61,6 +66,37 @@ def test_determinism_page_documents_every_lint_rule():
     assert not missing, f"docs/determinism.md omits lint rules {missing}"
     # The framework-reserved codes are part of the suppression contract.
     assert "LINT001" in text and "LINT002" in text
+
+
+def _snippet_imports(page):
+    """``(module, name)`` for every ``from repro… import …`` in fenced blocks."""
+    pairs = []
+    for block in _FENCE.findall(page.read_text()):
+        for module, names in _IMPORT.findall(block):
+            for name in names.strip("()").split(","):
+                name = name.split("#", 1)[0].split(" as ", 1)[0].strip()
+                if name:
+                    pairs.append((module, name))
+    return pairs
+
+
+def test_snippet_import_scan_finds_the_readme_examples():
+    pairs = _snippet_imports(REPO / "README.md")
+    assert ("repro.sim.session", "simulate_session") in pairs
+
+
+@pytest.mark.parametrize("page", PAGES, ids=lambda p: p.name)
+def test_snippet_imports_resolve(page):
+    """Every name a code snippet imports from ``repro`` exists."""
+    missing = []
+    for module, name in _snippet_imports(page):
+        try:
+            found = hasattr(importlib.import_module(module), name)
+        except ImportError:
+            found = False
+        if not found:
+            missing.append(f"from {module} import {name}")
+    assert not missing, f"{page.name} snippets import missing names: {missing}"
 
 
 # ---------------------------------------------------------------------------

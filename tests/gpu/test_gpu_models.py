@@ -40,6 +40,9 @@ class TestGPUConfig:
             GPUConfig(frequency_mhz=0)
         with pytest.raises(ConfigurationError):
             GPUConfig(num_shaders=0)
+        for frequency in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                GPUConfig(frequency_mhz=frequency)
 
     def test_dram_bandwidth(self):
         cfg = GPUConfig()

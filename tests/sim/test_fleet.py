@@ -22,10 +22,9 @@ from repro.sim.fleet import (
     placement_by_name,
 )
 from repro.sim.metrics import ServerWindow, aggregate_server_stats
-from repro.sim.multiuser import ClientSpec
 from repro.sim.runner import BatchEngine, spec_key
 from repro.sim.server import POLICY_NAMES, RenderServer
-from repro.sim.session import Join, Leave, ProfileSwitch, Session, simulate_session
+from repro.sim.session import ClientSpec, Join, Leave, ProfileSwitch, Session, simulate_session
 
 
 def _duration(n_frames):

@@ -7,11 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.conditions import LTE_4G, WIFI
 from repro.network.profile import AllocatedProfile, ConstantProfile, TraceProfile
-from repro.sim.multiuser import (
-    ClientSpec,
-    MultiUserScenario,
-    simulate_shared_infrastructure,
-)
 from repro.sim.runner import BatchEngine, RunSpec, run_batch, spec_key
 from repro.sim.server import (
     ClientDemand,
@@ -23,6 +18,7 @@ from repro.sim.server import (
     WeightedPolicy,
     policy_by_name,
 )
+from repro.sim.session import ClientSpec, Session, simulate_session
 from repro.sim.systems import PlatformConfig
 from repro import constants
 
@@ -38,8 +34,8 @@ def _drop_trace(n_frames):
 
 
 def _session(policy, n_frames=120, server=None):
-    return MultiUserScenario.heterogeneous(
-        (ClientSpec("GRID"), ClientSpec("Doom3-L")),
+    return Session(
+        clients=(ClientSpec("GRID"), ClientSpec("Doom3-L")),
         platform=PlatformConfig(network=_drop_trace(n_frames)),
         policy=policy,
         server=server,
@@ -58,7 +54,7 @@ class TestPolicyRegistry:
         with pytest.raises(ConfigurationError):
             policy_by_name("lottery")
         with pytest.raises(ConfigurationError):
-            MultiUserScenario.uniform("GRID", 2, policy="lottery")
+            Session(clients=("GRID",) * 2, policy="lottery")
         with pytest.raises(ConfigurationError):
             RunSpec(system="qvr", app="GRID", policy="lottery")
 
@@ -96,7 +92,7 @@ class TestFairShareBitCompatibility:
     """The acceptance bar: fair-share reproduces PR 2 exactly."""
 
     def test_default_scenario_specs_have_neutral_fields(self):
-        specs = MultiUserScenario.uniform("GRID", 3).to_specs(n_frames=50)
+        specs = Session(clients=("GRID",) * 3).timeline(n_frames=50).specs
         assert all(s.policy == "fair-share" for s in specs)
         assert all(s.server_allocation is None for s in specs)
         assert all(s.downlink_allocation is None for s in specs)
@@ -123,17 +119,19 @@ class TestFairShareBitCompatibility:
 
     def test_explicit_fair_share_matches_default(self):
         scenario = _session("fair-share")
-        default = MultiUserScenario.heterogeneous(
-            (ClientSpec("GRID"), ClientSpec("Doom3-L")),
+        default = Session(
+            clients=(ClientSpec("GRID"), ClientSpec("Doom3-L")),
             platform=PlatformConfig(network=_drop_trace(120)),
         )
-        assert scenario.to_specs(n_frames=60) == default.to_specs(n_frames=60)
+        assert (
+            scenario.timeline(n_frames=60).specs == default.timeline(n_frames=60).specs
+        )
 
     def test_fair_share_results_bit_identical(self):
-        explicit = simulate_shared_infrastructure(_session("fair-share"), n_frames=50)
-        legacy = simulate_shared_infrastructure(
-            MultiUserScenario.heterogeneous(
-                (ClientSpec("GRID"), ClientSpec("Doom3-L")),
+        explicit = simulate_session(_session("fair-share"), n_frames=50)
+        legacy = simulate_session(
+            Session(
+                clients=(ClientSpec("GRID"), ClientSpec("Doom3-L")),
                 platform=PlatformConfig(network=_drop_trace(120)),
             ),
             n_frames=50,
@@ -145,7 +143,7 @@ class TestCacheKeySeparation:
     def test_policies_separate_cache_keys(self):
         keys = {
             policy: tuple(
-                spec_key(s) for s in _session(policy).to_specs(n_frames=50)
+                spec_key(s) for s in _session(policy).timeline(n_frames=50).specs
             )
             for policy in POLICY_NAMES
         }
@@ -233,21 +231,21 @@ class TestAdmission:
         assert [d.action for d in decisions] == ["admit", "queue"]
 
     def test_rejected_clients_produce_no_specs_but_keep_verdicts(self):
-        scenario = MultiUserScenario.uniform(
-            "GRID",
-            3,
+        session = Session(
+            clients=("GRID",) * 3,
             policy="weighted",
             server=RenderServer(capacity_clients=2.0, overflow="reject"),
         )
-        plan = scenario.plan(n_frames=40)
-        assert [d.action for d in plan.decisions] == ["admit", "admit", "reject"]
-        assert len(plan.specs) == 2
-        assert plan.serviced_indices == (0, 1)
-        result = simulate_shared_infrastructure(scenario, n_frames=40)
+        timeline = session.timeline(n_frames=40)
+        (epoch,) = timeline.epochs
+        assert [d.action for d in epoch.decisions] == ["admit", "admit", "reject"]
+        assert len(timeline.specs) == 2
+        assert timeline.serviced_indices == (0, 1)
+        result = simulate_session(session, n_frames=40)
         assert len(result.per_client) == 2
-        assert result.decisions is not None
+        assert len(result.timeline.epochs[0].decisions) == 3
         # Only the serviced roster contends for the link/jitter model.
-        assert all(spec.shared_clients == 2 for spec in plan.specs)
+        assert all(spec.shared_clients == 2 for spec in timeline.specs)
 
     def test_client_weights_consume_capacity(self):
         server = RenderServer(capacity_clients=2.0, overflow="reject")
@@ -263,8 +261,9 @@ class TestAdmission:
             RenderServer(capacity_clients=0.0)
         with pytest.raises(ConfigurationError):
             RenderServer(overflow="drop-table")
-        with pytest.raises(ConfigurationError):
-            ClientSpec("GRID", weight=0.0)
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ClientSpec("GRID", weight=weight)
 
 
 class TestScheduling:
@@ -293,15 +292,15 @@ class TestScheduling:
     def test_deadline_boosts_the_pressured_client_inside_the_drop(self):
         n_frames = 120
         scenario = _session("deadline", n_frames=n_frames)
-        plan = scenario.plan(n_frames=n_frames)
-        grid_spec = plan.specs[0]
+        specs = scenario.timeline(n_frames=n_frames).specs
+        grid_spec = specs[0]
         trace = _drop_trace(n_frames)
         in_drop = (trace.times_ms[1] + trace.times_ms[2]) / 2
         schedule = ShareSchedule(grid_spec.server_allocation)
         fair = 1.0 / (2 * 0.9)
         assert schedule.share_at(in_drop) > fair
         assert schedule.share_at(0.0) >= fair  # heavy client, mild pre-boost
-        light = ShareSchedule(plan.specs[1].server_allocation)
+        light = ShareSchedule(specs[1].server_allocation)
         assert light.share_at(in_drop) < fair
 
     def test_allocation_service_level_scales_server_not_downlink(self):
@@ -347,28 +346,28 @@ class TestDeadlinePrediction:
 
 class TestDeterminism:
     def test_policy_runs_bit_identical_at_any_job_count(self):
-        specs = _session("deadline").to_specs(n_frames=40)
+        specs = _session("deadline").timeline(n_frames=40).specs
         serial = run_batch(specs, jobs=1)
         parallel = run_batch(specs, jobs=2)
         for spec in specs:
             assert pickle.dumps(serial[spec]) == pickle.dumps(parallel[spec])
 
     def test_planning_is_deterministic_per_seed(self):
-        first = _session("deadline").plan(n_frames=60, seed=9)
-        second = _session("deadline").plan(n_frames=60, seed=9)
+        first = _session("deadline").timeline(n_frames=60, seed=9)
+        second = _session("deadline").timeline(n_frames=60, seed=9)
         assert first == second
-        shifted = _session("deadline").plan(n_frames=60, seed=10)
+        shifted = _session("deadline").timeline(n_frames=60, seed=10)
         assert shifted.specs != first.specs
 
     def test_markov_profile_allocation_is_seed_stable(self):
         from repro.network.profile import PROFILES
 
-        scenario = MultiUserScenario.heterogeneous(
-            (ClientSpec("GRID"), ClientSpec("Doom3-L")),
+        scenario = Session(
+            clients=(ClientSpec("GRID"), ClientSpec("Doom3-L")),
             platform=PlatformConfig(network=PROFILES["wifi-markov"]),
             policy="weighted",
         )
-        assert scenario.plan(n_frames=40, seed=2) == scenario.plan(
+        assert scenario.timeline(n_frames=40, seed=2) == scenario.timeline(
             n_frames=40, seed=2
         )
 

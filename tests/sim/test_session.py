@@ -1,7 +1,5 @@
 """Tests for the event-driven session surface (repro.sim.session)."""
 
-import pickle
-
 import pytest
 
 from repro import constants
@@ -14,10 +12,10 @@ from repro.network.profile import (
     TraceProfile,
 )
 from repro.sim.fleet import RenderFleet
-from repro.sim.multiuser import ClientSpec, MultiUserScenario
 from repro.sim.runner import BatchEngine, RunSpec, spec_key
 from repro.sim.server import RenderServer
 from repro.sim.session import (
+    ClientSpec,
     Join,
     Leave,
     ProfileSwitch,
@@ -120,22 +118,11 @@ class TestEventValidation:
 
 
 class TestLegacyParity:
-    """Single-epoch sessions reproduce MultiUserScenario.plan() exactly."""
+    """The legacy static session keeps its published cache keys.
 
-    @pytest.mark.parametrize("policy", ["fair-share", "weighted", "deadline"])
-    def test_same_specs_and_cache_keys_across_policies(self, policy):
-        scenario = MultiUserScenario.heterogeneous(
-            (ClientSpec("GRID"), ClientSpec("Doom3-L")),
-            platform=PlatformConfig(network=_drop_trace(120)),
-            policy=policy,
-        )
-        plan = scenario.plan(n_frames=60, seed=3)
-        timeline = scenario.as_session().timeline(n_frames=60, seed=3)
-        assert timeline.specs == plan.specs
-        assert [spec_key(s) for s in timeline.specs] == [
-            spec_key(s) for s in plan.specs
-        ]
-        assert timeline.plan() == plan
+    Spec-for-spec parity of event-free sessions is pinned by
+    ``test_timeline_golden.py`` and ``test_spec_key_golden.py``.
+    """
 
     def test_legacy_fair_share_keys_frozen_since_pr3(self):
         """The PR 2/3 golden keys survive the session redesign."""
@@ -152,28 +139,6 @@ class TestLegacyParity:
                                                   start_ms=0.0))
         late = RunSpec(system="qvr", app="GRID", start_ms=500.0)
         assert spec_key(late) != spec_key(base)
-
-    @pytest.mark.parametrize("policy", ["fair-share", "deadline"])
-    def test_bit_identical_results(self, policy):
-        scenario = MultiUserScenario.heterogeneous(
-            (ClientSpec("GRID"), ClientSpec("Doom3-L")),
-            platform=PlatformConfig(network=_drop_trace(120)),
-            policy=policy,
-        )
-        engine = BatchEngine()
-        via_plan = engine.run_specs(scenario.plan(n_frames=40).specs)
-        via_session = engine.run_specs(
-            scenario.as_session().timeline(n_frames=40).specs
-        )
-        assert pickle.dumps(list(via_plan.values())) == pickle.dumps(
-            list(via_session.values())
-        )
-
-    def test_multi_epoch_timeline_refuses_the_static_view(self):
-        session = _queue_session(60, (Leave(100.0, client=1),))
-        timeline = session.timeline(n_frames=60)
-        with pytest.raises(ConfigurationError):
-            timeline.plan()
 
 
 class TestQueuePromotion:

@@ -41,10 +41,9 @@ from repro.sim.fleet import (
     ServerFail,
     ServerUp,
 )
-from repro.sim.multiuser import ClientSpec
 from repro.sim.runner import spec_key
 from repro.sim.server import OVERFLOW_MODES, POLICY_NAMES, RenderServer
-from repro.sim.session import Join, Leave, ProfileSwitch, Session
+from repro.sim.session import ClientSpec, Join, Leave, ProfileSwitch, Session
 
 #: Pinned digest of the whole corpus.  Do not edit by hand.
 GOLDEN = "15f8926c02f99481f73dd8af5485b5cad67d659aceafdfc77db66d18847275d6"

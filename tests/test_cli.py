@@ -132,6 +132,9 @@ class TestScenariosCommand:
             _parse_client("GRID:wifi:abc")
         with pytest.raises(ConfigurationError):
             _parse_client("GRID:wifi:300:extra")
+        for clock in ("nan", "inf", "0"):
+            with pytest.raises(ConfigurationError):
+                _parse_client(f"GRID:wifi:{clock}")
 
     def test_scenarios_requires_clients(self):
         with pytest.raises(SystemExit):
@@ -198,6 +201,11 @@ class TestSessionEventsCommand:
             {"events": [{"t_ms": 100.0, "leave": "one"}]},      # bad index
             {"events": [{"t_ms": 100.0, "switch": None,
                          "profile": "4g"}]},                    # bad index
+            {"events": [{"t_ms": 100.0, "leave": 1.9}]},        # not an int
+            {"events": [{"t_ms": 100.0, "leave": True}]},       # bool index
+            {"events": [{"t_ms": 100.0, "leave": "1"}]},        # string index
+            {"events": [{"t_ms": 100.0, "switch": False,
+                         "profile": "4g"}]},                    # bool index
             "not-a-list",
         ):
             events = self._events(tmp_path, payload)
@@ -206,6 +214,19 @@ class TestSessionEventsCommand:
                     ["scenarios", "--clients", "GRID", "Doom3-L",
                      "--events", events, "--frames", "40"]
                 )
+
+    @pytest.mark.parametrize("drain", ["false", 1, None])
+    def test_drain_must_be_a_json_boolean(self, tmp_path, drain):
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text('{"servers": {"a": 2.0, "b": 2.0}}')
+        events = self._events(
+            tmp_path, {"events": [{"t_ms": 100.0, "down": "b", "drain": drain}]}
+        )
+        with pytest.raises(ConfigurationError, match="bad drain"):
+            main(
+                ["scenarios", "--clients", "GRID", "Doom3-L", "--fleet",
+                 str(fleet), "--events", events, "--frames", "40"]
+            )
 
     def test_unreadable_or_invalid_json_rejected(self, tmp_path):
         broken = tmp_path / "broken.json"
