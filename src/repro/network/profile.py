@@ -362,6 +362,13 @@ class TraceProfile(NetworkProfile):
         )
 
     def _segments(self) -> tuple[tuple[float, NetworkConditions], ...]:
+        # Built once per instance: every channel and every allocation
+        # re-samples the same frozen trace.  The memo is a non-field
+        # attribute (frozen dataclass, hence the setattr back door), so
+        # equality, hashing and spec keys see only the fields.
+        memo = self.__dict__.get("_segment_memo")
+        if memo is not None:
+            return memo
         segments = []
         for index, start in enumerate(self.times_ms):
             conditions = replace(
@@ -372,7 +379,16 @@ class TraceProfile(NetworkProfile):
                     conditions, propagation_ms=self.propagation_ms[index]
                 )
             segments.append((start, conditions))
-        return tuple(segments)
+        memo = tuple(segments)
+        object.__setattr__(self, "_segment_memo", memo)
+        return memo
+
+    def __getstate__(self) -> dict:
+        # Pickles (spill streams, worker payloads) carry the fields only,
+        # whether or not this instance has built its memo yet.
+        state = dict(self.__dict__)
+        state.pop("_segment_memo", None)
+        return state
 
     def sampler(self, seed: int = 0) -> _ScheduleSampler:
         return _ScheduleSampler(self._segments())
@@ -544,13 +560,18 @@ class _AllocatedSampler:
         self._base = base_sampler
         self._schedule = schedule
         self._n_clients = n_clients
+        # (base, share, derived) of the previous call: the channel samples
+        # every transfer, but the inputs change only at segment boundaries.
+        self._last: tuple = (None, None, None)
 
     def conditions_at(self, t_ms: float) -> NetworkConditions:
-        return allocated_conditions(
-            self._base.conditions_at(t_ms),
-            self._schedule.share_at(t_ms),
-            self._n_clients,
-        )
+        base = self._base.conditions_at(t_ms)
+        share = self._schedule.share_at(t_ms)
+        last_base, last_share, derived = self._last
+        if base is not last_base or share != last_share:
+            derived = allocated_conditions(base, share, self._n_clients)
+            self._last = (base, share, derived)
+        return derived
 
 
 @dataclass(frozen=True)

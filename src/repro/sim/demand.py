@@ -35,10 +35,11 @@ aggregate across sessions).  All randomness flows from one seeded
 city, bit for bit.
 
 :func:`run_population` folds the expansion through the existing sharded
-batch path: per-policy, every session re-plans via
-:meth:`~repro.sim.session.Session.with_policy` and its frozen specs
-stream through :meth:`~repro.sim.runner.BatchEngine.stream_specs`; each
-``(spec, result)`` pair is folded into order-independent streaming
+batch path: every session re-plans under each policy in turn via
+:meth:`~repro.sim.session.Session.with_policy` and all the frozen specs
+stream through one :meth:`~repro.sim.runner.BatchEngine.stream_specs`
+call; each ``(spec, result)`` pair is routed to the policy that
+requested it and folded into order-independent streaming
 aggregates (:class:`~repro.sim.metrics.StreamSummary` in ``exact``
 mode) and dropped, so 10k+ client-sessions execute in bounded memory —
 no full result dict ever exists.  The headline metric is fleet-wide SLO
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -362,8 +362,8 @@ class DemandScenario:
         The :class:`~repro.sim.fleet.RenderFleet` shape every session
         plans against.
     policies:
-        Scheduling policies to evaluate; each gets an independent
-        planning + execution pass over the same expanded city.
+        Scheduling policies to evaluate; every session of the same
+        expanded city is planned and executed under each of them.
     system:
         System design executed per client (default the full Q-VR).
     sharing_efficiency:
@@ -743,7 +743,7 @@ class DemandScenario:
 
 
 class _PolicyAccumulator:
-    """Order-independent streaming aggregates of one policy pass.
+    """Order-independent streaming aggregates of one policy.
 
     Everything here is invariant under result completion order: integer
     counters, exact-sum :class:`~repro.sim.metrics.StreamSummary`
@@ -800,7 +800,7 @@ class _PolicyAccumulator:
         return self.met / self.measured
 
     def report(self) -> dict:
-        """The policy pass as a deterministic, JSON-ready dict."""
+        """The policy's row as a deterministic, JSON-ready dict."""
         return {
             "sessions": self.sessions,
             "clients": self.clients,
@@ -831,22 +831,25 @@ def run_population(
 ) -> dict:
     """Expand a demand scenario and stream it through the batch path.
 
-    For each policy, every planned session re-plans under that policy
-    (:meth:`~repro.sim.session.Session.with_policy`) and its frozen
-    specs are fed — lazily, session by session — to
-    :meth:`~repro.sim.runner.BatchEngine.stream_specs`; each completed
-    ``(spec, result)`` pair folds into a :class:`_PolicyAccumulator` and
-    is dropped, so memory stays bounded regardless of city size.  When
-    the engine spills to a configured stream directory, each policy pass
-    gets its own subdirectory (plans differ per policy, and spill
-    resumption is plan-digest-guarded).
+    Every planned session re-plans under each policy in turn
+    (:meth:`~repro.sim.session.Session.with_policy`), and all the frozen
+    specs are fed — lazily, session by session — to one
+    :meth:`~repro.sim.runner.BatchEngine.stream_specs` call.  A spec and
+    its twin under the next policy share their workload stream, gaze and
+    foveation sweeps, so this session-major order lets the kernels'
+    bounded memos serve the twin.  Each completed ``(spec, result)`` pair
+    folds into the :class:`_PolicyAccumulator` of a policy that requested
+    the spec and is dropped, so memory stays bounded regardless of city
+    size.  With a configured stream directory the one spill stream lives
+    directly in it.
 
     Returns the deterministic population report: per-policy client-window
     counts, streamed latency / FPS / per-client-p99 summaries, and SLO
     attainment against the scenario's p99-FPS floor.  Bit-identical for
     the same ``(scenario, seed)`` at any shard, worker, or job count.
     ``progress(policy, done, total)`` is called as results fold, if
-    given.
+    given.  Raises :class:`RuntimeError` if the stream yields a result
+    no policy requested, or leaves a requested client-session unfolded.
     """
     if engine is None:
         engine = BatchEngine()
@@ -858,44 +861,58 @@ def run_population(
                 f"{scenario.policies}"
             )
     planned = scenario.expand(seed, max_sessions=max_sessions)
-    base_stream_dir = engine.stream_dir
-    policy_reports: dict[str, dict] = {}
+    accs = {
+        policy: _PolicyAccumulator(policy, scenario.slo_p99_fps_floor)
+        for policy in wanted
+    }
+    # Accumulators awaiting each requested spec; a spec requested twice
+    # (by two policies, or by duplicate client-sessions) folds twice.
+    awaiting: dict[RunSpec, list[_PolicyAccumulator]] = {}
+
+    def spec_stream() -> "Iterator[RunSpec]":
+        """Yield every session's specs under each policy in turn."""
+        for item in planned:
+            for acc in accs.values():
+                timeline = item.session.with_policy(acc.policy).timeline(
+                    system=scenario.system,
+                    n_frames=item.n_frames,
+                    seed=item.seed,
+                )
+                acc.observe_plan(timeline)
+                for spec in timeline.specs:
+                    awaiting.setdefault(spec, []).append(acc)
+                    yield spec
+
+    slo_gauges = {
+        policy: obs_metrics.gauge(f"population.slo.{policy}") for policy in wanted
+    }
     tracer = obs_trace.active()
-    try:
-        for policy in wanted:
-            if base_stream_dir is not None:
-                policy_dir = os.path.join(str(base_stream_dir), policy)
-                os.makedirs(policy_dir, exist_ok=True)
-                engine.stream_dir = policy_dir
-            acc = _PolicyAccumulator(policy, scenario.slo_p99_fps_floor)
-
-            def spec_stream() -> "Iterator[RunSpec]":
-                """Yield every planned client-session spec for this policy."""
-                for item in planned:
-                    timeline = item.session.with_policy(policy).timeline(
-                        system=scenario.system,
-                        n_frames=item.n_frames,
-                        seed=item.seed,
-                    )
-                    acc.observe_plan(timeline)
-                    yield from timeline.specs
-
-            slo_gauge = obs_metrics.gauge(f"population.slo.{policy}")
-            with tracer.span(
-                "population.policy",
-                key=("population.policy", scenario.name, seed, policy),
-                policy=policy,
-            ):
-                for _, result in engine.stream_specs(spec_stream()):
-                    acc.observe_result(result)
-                    obs_metrics.counter(f"population.executed.{policy}").inc()
-                    if acc.measured:
-                        slo_gauge.set(acc.attainment)
-                    if progress is not None:
-                        progress(policy, acc.executed, acc.client_sessions)
-            policy_reports[policy] = acc.report()
-    finally:
-        engine.stream_dir = base_stream_dir
+    with tracer.span(
+        "population.run",
+        key=("population.run", scenario.name, seed, wanted),
+        policies=list(wanted),
+    ):
+        for spec, result in engine.stream_specs(spec_stream()):
+            owners = awaiting.get(spec)
+            if not owners:
+                raise RuntimeError(
+                    f"population stream yielded a result nothing requested: {spec}"
+                )
+            acc = owners.pop()
+            if not owners:
+                del awaiting[spec]
+            acc.observe_result(result)
+            obs_metrics.counter(f"population.executed.{acc.policy}").inc()
+            if acc.measured:
+                slo_gauges[acc.policy].set(acc.attainment)
+            if progress is not None:
+                progress(acc.policy, acc.executed, acc.client_sessions)
+    if awaiting:
+        raise RuntimeError(
+            f"population stream ended with {len(awaiting)} requested "
+            "spec(s) never folded"
+        )
+    policy_reports = {policy: acc.report() for policy, acc in accs.items()}
     first = next(iter(policy_reports.values()), {})
     return {
         "scenario": scenario.name,

@@ -28,9 +28,9 @@ against the original (see ``tests/sim/test_kernels.py``):
   and outer-layer cost are computed once and shared by every foveated
   system and same-resolution app in the process.
 
-Workload streams and foveation geometry are memoized across runs (both
-are deterministic in ``(app, seed, n_frames)`` / resolution), which is
-where most of the cross-spec batch speedup comes from.
+Workload streams, foveation geometry (per resolution) and gaze (read
+from the workload stream) are memoized across runs in bounded LRUs,
+which is where most of the cross-spec batch speedup comes from.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from repro.errors import ConfigurationError
 from repro.gpu.mobile_gpu import MobileGPU
 from repro.gpu.remote_gpu import RemoteRenderer
 from repro.motion.dof import GazeDelta, PoseDelta
-from repro.motion.traces import generate_trace
 from repro.network.channel import NetworkChannel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -94,6 +93,8 @@ _WORKLOAD_CACHE_MAX = 32
 
 _GEOMETRY_CACHE: OrderedDict = OrderedDict()
 _GEOMETRY_CACHE_MAX = 8
+_LATTICE_CACHE: OrderedDict = OrderedDict()
+_LATTICE_CACHE_MAX = 4  # per panel resolution; Table 3 has two
 
 #: Per-(GPU, server) memo of the pure foveated render times, keyed by the
 #: (full workload, partition plan) pair.  ``GPUPerfModel``/``RemoteRenderer``
@@ -106,57 +107,46 @@ _RENDER_CACHES_MAX = 8
 _RENDER_CACHE_ENTRIES_MAX = 200_000
 
 
-def _render_cache(config_key: tuple) -> dict:
-    """Memo dict for one (mobile GPU, remote server) hardware config."""
-    # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: a fork-inherited or rebuilt cache yields bit-identical values and never flows back to the parent
-    cache = _RENDER_CACHES.get(config_key)
-    if cache is None:
-        obs_metrics.counter("kernels.render_cache.miss").inc()
-        cache = {}
-        _RENDER_CACHES[config_key] = cache
-        if len(_RENDER_CACHES) > _RENDER_CACHES_MAX:
-            _RENDER_CACHES.popitem(last=False)
-            obs_metrics.counter("kernels.render_cache.evict").inc()
+def _memoized(cache: OrderedDict, bound: int, counters: str, key, build):
+    """LRU lookup in ``cache`` (``build()`` on a miss), counted as ``<counters>.*``."""
+    value = cache.get(key)
+    if value is None:
+        obs_metrics.counter(f"{counters}.miss").inc()
+        value = build()
+        cache[key] = value
+        if len(cache) > bound:
+            cache.popitem(last=False)
+            obs_metrics.counter(f"{counters}.evict").inc()
     else:
-        obs_metrics.counter("kernels.render_cache.hit").inc()
-        _RENDER_CACHES.move_to_end(config_key)
-    return cache
+        obs_metrics.counter(f"{counters}.hit").inc()
+        cache.move_to_end(key)
+    return value
 
 
 def _workloads(app: VRApp, seed: int, n_frames: int):
     """Memoized workload stream — deterministic in (app, seed, n_frames)."""
-    key = (app, seed, n_frames)
-    # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
-    stream = _WORKLOAD_CACHE.get(key)
-    if stream is None:
-        obs_metrics.counter("kernels.workloads.miss").inc()
-        stream = WorkloadGenerator(app, seed=seed).generate(n_frames)
-        _WORKLOAD_CACHE[key] = stream
-        if len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_MAX:
-            _WORKLOAD_CACHE.popitem(last=False)
-            obs_metrics.counter("kernels.workloads.evict").inc()
-    else:
-        obs_metrics.counter("kernels.workloads.hit").inc()
-        _WORKLOAD_CACHE.move_to_end(key)
-    return stream
+    return _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
+        _WORKLOAD_CACHE, _WORKLOAD_CACHE_MAX, "kernels.workloads", (app, seed, n_frames),
+        lambda: WorkloadGenerator(app, seed=seed).generate(n_frames),
+    )
 
 
-def _foveation_kernel(app: VRApp, seed: int, n_frames: int) -> "_FoveationKernel":
-    """Memoized geometry kernel — the gaze trace depends only on resolution."""
-    key = (app.width_px, app.height_px, seed, n_frames)
-    # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
-    kern = _GEOMETRY_CACHE.get(key)
-    if kern is None:
-        obs_metrics.counter("kernels.fov.miss").inc()
-        kern = _FoveationKernel(app.width_px, app.height_px, seed, n_frames)
-        _GEOMETRY_CACHE[key] = kern
-        if len(_GEOMETRY_CACHE) > _GEOMETRY_CACHE_MAX:
-            _GEOMETRY_CACHE.popitem(last=False)
-            obs_metrics.counter("kernels.fov.evict").inc()
-    else:
-        obs_metrics.counter("kernels.fov.hit").inc()
-        _GEOMETRY_CACHE.move_to_end(key)
-    return kern
+def _foveation_kernel(app: VRApp, seed: int, workloads) -> "_FoveationKernel":
+    """Memoized geometry kernel: lattice per resolution, gaze per (resolution, seed, n)."""
+    size = (app.width_px, app.height_px)
+    return _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
+        _GEOMETRY_CACHE, _GEOMETRY_CACHE_MAX, "kernels.fov", (*size, seed, len(workloads)),
+        lambda: _FoveationKernel(
+            _memoized(
+                # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: fork-inherited and rebuilt entries are bit-identical
+                _LATTICE_CACHE, _LATTICE_CACHE_MAX, "kernels.lattice", size,
+                lambda: _Lattice(*size),
+            ),
+            workloads,
+        ),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -168,18 +158,15 @@ _SAMPLES_2D = 129
 _STEP_DEG = 0.5
 
 
-class _FoveationKernel:
-    """Per-(resolution, seed, n_frames) replica of ``FoveationModel.plan``.
+class _Lattice:
+    """Resolution-only geometry: master lattice, verified offsets, workspaces.
 
-    Holds the master eccentricity lattice, per-frame gaze positions and
-    lazily-built per-frame area sweeps / area integrals / plans, shared by
-    every foveated system (and every same-resolution app) in the process.
+    Every integration kernel fills and consumes the workspaces within one call.
     """
 
-    def __init__(self, width_px: int, height_px: int, seed: int, n_frames: int) -> None:
+    def __init__(self, width_px: int, height_px: int) -> None:
         display = DisplayGeometry(width_px, height_px)
         model = FoveationModel(display)
-        self.model = model
         self.mar = model.mar
         self.eyes = model.eyes
         self.cap = model.scale_cap
@@ -190,19 +177,6 @@ class _FoveationKernel:
         self.height = float(height_px)
         self.total = float(display.total_pixels)
         self.native = float(model.eyes * display.total_pixels)
-
-        # Gaze per frame: the motion trace depends only on the panel
-        # resolution, the frame budget and the seed — identical for every
-        # app at this resolution, so the per-frame sweeps are shared.
-        trace = generate_trace(
-            n_frames=n_frames,
-            frame_dt_ms=constants.FRAME_BUDGET_MS,
-            panel_width_px=width_px,
-            panel_height_px=height_px,
-            seed=seed,
-        )
-        self.gx = [s.gaze.x_px for s in trace]
-        self.gy = [s.gaze.y_px for s in trace]
 
         # Master candidate lattice of optimize_e2 starting at the minimum
         # eccentricity; a call at e1 == master[k] evaluates exactly the
@@ -229,17 +203,6 @@ class _FoveationKernel:
             cand = np.minimum(np.arange(v, e_max + _STEP_DEG, _STEP_DEG), e_max)
             if len(cand) == len(master) - k and np.array_equal(cand, master[k:]):
                 self.lattice_offsets[v] = k
-
-        # Lazy per-frame caches (shared across systems and runs).
-        self._sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._areas: dict[tuple[int, float], float] = {}
-        self._plans: dict[tuple[int, float], PartitionPlan] = {}
-        # Miss counts per eccentricity: once a value keeps recurring
-        # (fixed-e1 controllers, lattice e2 picks), its area is batch
-        # integrated for every frame at once instead of one gaze at a time.
-        self._e_misses: dict[float, int] = {}
-        self._gaze_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._batch1d: tuple[np.ndarray, ...] | None = None
 
         # Reusable workspaces for the integration kernels.
         m = len(master) + 2
@@ -346,6 +309,34 @@ class _FoveationKernel:
             e, shape=(m, _SAMPLES_2D - 1), strides=(_SAMPLES_2D * stride, stride)
         )
         return np.add.reduce(rows, axis=1)
+
+
+class _FoveationKernel(_Lattice):
+    """Per-(resolution, seed, n_frames) replica of ``FoveationModel.plan``.
+
+    Shares its resolution's lattice state by reference, takes the gaze from
+    the workload stream, and lazily builds per-frame area sweeps / area
+    integrals / plans, shared by every foveated system (and every
+    same-resolution app) in the process.
+    """
+
+    def __init__(self, lattice: _Lattice, workloads) -> None:
+        self.__dict__.update(vars(lattice))
+        # The stream's motion trace depends only on the resolution, the
+        # frame budget and the seed: identical for every app at this size.
+        self.gx = [wl.motion.gaze.x_px for wl in workloads]
+        self.gy = [wl.motion.gaze.y_px for wl in workloads]
+
+        # Lazy per-frame caches (shared across systems and runs).
+        self._sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._areas: dict[tuple[int, float], float] = {}
+        self._plans: dict[tuple[int, float], PartitionPlan] = {}
+        # Miss counts per eccentricity: once a value keeps recurring
+        # (fixed-e1 controllers, lattice e2 picks), its area is batch
+        # integrated for every frame at once instead of one gaze at a time.
+        self._e_misses: dict[float, int] = {}
+        self._gaze_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._batch1d: tuple[np.ndarray, ...] | None = None
 
     def _area256_all_frames(self, e_deg: float) -> None:
         """Fill the ``_areas`` cache with frame ``0..n-1`` at one radius.
@@ -923,7 +914,11 @@ def _run_foveated(
     render_time = mobile.render_time_ms
     remote_pure_render = env.remote.render_time_ms
     server_share = env.server_share
-    render_memo = _render_cache((env.platform.gpu, env.platform.server))
+    render_memo = _memoized(
+        # repro-lint: disable=MP001 -- per-process memo of pure functions of the key: a fork-inherited or rebuilt cache yields bit-identical values and never flows back to the parent
+        _RENDER_CACHES, _RENDER_CACHES_MAX, "kernels.render_cache",
+        (env.platform.gpu, env.platform.server), dict,
+    )
     remote_encode = env.remote.encode_time_ms
     transfer_time = channel.transfer_time_ms
     uplink_time = channel.uplink_time_ms
@@ -1135,7 +1130,7 @@ def run_vectorized(
         else:
             # repro-lint: disable=MP001 -- read-only registry constant: populated once at import, never mutated
             controller_cls, uses_uca = _FOVEATED_CONTROLLERS[key]
-            kern = _foveation_kernel(app, seed, n_frames)
+            kern = _foveation_kernel(app, seed, workloads)
             # LRU hit rates for the kernel's lazy per-frame caches are
             # sampled as size deltas around the pass — the per-frame
             # accessors stay untouched, so the disabled path costs

@@ -103,6 +103,20 @@ class TestTraceProfile:
         assert sampler.conditions_at(0.0).propagation_ms == 2.0
         assert sampler.conditions_at(60.0).propagation_ms == 20.0
 
+    def test_segments_memo_stays_out_of_equality_and_pickles(self):
+        def make():
+            return TraceProfile(
+                base=WIFI, times_ms=(0.0, 100.0), throughput_mbps=(150.0, 30.0)
+            )
+
+        trace, fresh = make(), make()
+        cold = pickle.dumps(trace)
+        first = trace.sampler(0).conditions_at(150.0)
+        assert trace.sampler(1).conditions_at(150.0) is first  # built once
+        assert trace == fresh and hash(trace) == hash(fresh)
+        assert pickle.dumps(trace) == cold == pickle.dumps(fresh)
+        assert pickle.loads(cold).sampler(0).conditions_at(150.0) == first
+
     def test_validation(self):
         with pytest.raises(NetworkError):
             TraceProfile(base=WIFI, times_ms=(), throughput_mbps=())

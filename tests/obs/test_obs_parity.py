@@ -57,7 +57,7 @@ def test_population_report_is_bit_identical_with_tracing(tmp_path, shards):
     # The traced run actually recorded something.
     events, merged = report.load_trace(tmp_path / "t")
     names = {event["name"] for event in events}
-    assert "population.policy" in names
+    assert "population.run" in names
     assert merged["counters"].get("population.executed.fair-share", 0) > 0
 
 

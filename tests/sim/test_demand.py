@@ -1,6 +1,7 @@
 """Tests for the population-scale demand generator (repro.sim.demand)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -379,12 +380,70 @@ class TestRunPopulation:
         assert seen[-1][0] == "fair-share"
         assert seen[-1][1] == seen[-1][2] > 0
 
-    def test_stream_dir_gets_per_policy_subdirs(self, scenario, tmp_path):
-        import os
+    def test_stream_dir_holds_one_stream_and_resumes(self, scenario, tmp_path):
+        """One spill stream for every policy, directly in the directory."""
 
-        engine = BatchEngine(
-            shards=2, shard_mode="process", stream_dir=str(tmp_path)
+        def engine():
+            return BatchEngine(shards=2, shard_mode="process", stream_dir=str(tmp_path))
+
+        # A directory left over from per-policy streams is reused: the old
+        # subdirectories are ignored and the run recomputes.
+        for policy in ("fair-share", "deadline"):
+            (tmp_path / policy).mkdir()
+            (tmp_path / policy / "manifest.json").write_text("{}")
+        first = engine()
+        report = run_population(scenario, seed=7, engine=first, max_sessions=3)
+        assert first.stats.executed == first.stats.unique > 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "deadline", "fair-share", "manifest.json",
+            "shard-0000.results", "shard-0001.results",
+        ]
+        assert first.stream_dir == str(tmp_path)
+        resumed = engine()
+        again = run_population(scenario, seed=7, engine=resumed, max_sessions=3)
+        assert resumed.last_shard_stats.skipped_shards == 2
+        assert resumed.last_shard_stats.executed == 0
+        assert json.dumps(again, sort_keys=True) == json.dumps(report, sort_keys=True)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            run_population(scenario, seed=7, engine=BatchEngine(), max_sessions=3),
+            sort_keys=True,
         )
-        run_population(scenario, seed=7, engine=engine, max_sessions=3)
-        assert sorted(os.listdir(tmp_path)) == ["deadline", "fair-share"]
-        assert engine.stream_dir == str(tmp_path)  # restored after the run
+
+    def test_each_policy_row_matches_its_solo_run(self, scenario, serial_report):
+        for policy in scenario.policies:
+            solo = run_population(
+                scenario, seed=7, engine=BatchEngine(), policies=(policy,)
+            )
+            assert json.dumps(solo["policies"][policy], sort_keys=True) == json.dumps(
+                serial_report["policies"][policy], sort_keys=True
+            )
+
+    def test_report_ignores_completion_order(self, scenario, serial_report):
+        shuffle = np.random.default_rng(3).permutation
+        engine = _ReorderingEngine(lambda pairs: shuffle(len(pairs)).tolist())
+        report = run_population(scenario, seed=7, engine=engine)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            serial_report, sort_keys=True
+        )
+
+    def test_unrequested_result_raises(self, scenario):
+        engine = _ReorderingEngine(lambda pairs: [0, *range(len(pairs))])
+        with pytest.raises(RuntimeError, match="nothing requested"):
+            run_population(scenario, seed=7, engine=engine, max_sessions=3)
+
+    def test_unfolded_request_raises(self, scenario):
+        engine = _ReorderingEngine(lambda pairs: list(range(1, len(pairs))))
+        with pytest.raises(RuntimeError, match="never folded"):
+            run_population(scenario, seed=7, engine=engine, max_sessions=3)
+
+
+class _ReorderingEngine(BatchEngine):
+    """Yields its stream's pairs at the positions ``order(pairs)`` lists."""
+
+    def __init__(self, order):
+        super().__init__()
+        self._order = order
+
+    def stream_specs(self, specs):
+        pairs = list(super().stream_specs(specs))
+        return iter([pairs[i] for i in self._order(pairs)])

@@ -399,6 +399,21 @@ class TestAllocatedProfile:
             20.0
         )
 
+    def test_sampler_rederives_at_every_base_and_share_change(self):
+        from repro.network.profile import ShareSchedule, allocated_conditions
+
+        base = TraceProfile(
+            base=WIFI, times_ms=(0.0, 300.0, 700.0), throughput_mbps=(90.0, 30.0, 60.0)
+        )
+        segments = ((0.0, 0.5), (200.0, 0.25), (300.0, 0.75), (900.0, 0.75 / 2))
+        sampler = AllocatedProfile(base=base, segments=segments, n_clients=3).sampler(0)
+        base_sampler, schedule = base.sampler(0), ShareSchedule(segments)
+        for t in (0.0, 100.0, 200.0, 250.0, 300.0, 650.0, 700.0, 950.0, 950.0, 0.0):
+            expected = allocated_conditions(
+                base_sampler.conditions_at(t), schedule.share_at(t), 3
+            )
+            assert sampler.conditions_at(t) == expected
+
 
 class TestSweepPolicyAxis:
     def test_policies_axis_multiplies_the_grid(self):
