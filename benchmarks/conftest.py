@@ -13,11 +13,11 @@ session.  ``QVR_BENCH_JOBS`` sets the engine's process-pool width
 ``QVR_BENCH_CACHE`` pins the cache directory so the warm cache can
 persist across pytest sessions.
 
-The directory must stay importable with *only* the runtime deps the CI
-``bench-batch-smoke`` job installs (numpy): ``bench_batch.py`` and the
-regression gate are plain scripts, and the ``paper_benchmark`` fixture
-degrades to a direct call when pytest-benchmark is absent, so an
-unused-dep drift in the job's install line can't break the suite.
+The directory must stay importable with *only* numpy installed, as in
+the CI ``perfbench`` job, which runs ``bench_session.py`` as a plain
+script: the ``paper_benchmark`` fixture degrades to a direct call when
+pytest-benchmark is absent, so an unused-dep drift in a job's install
+line can't break the suite.
 """
 
 import os

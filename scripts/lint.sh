@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 echo "== ruff check =="
 if command -v ruff >/dev/null 2>&1; then
-    ruff check src tests benchmarks examples
+    ruff check src tests benchmarks examples scripts
 else
     # CI installs ruff explicitly; locally the determinism gate is still
     # worth running on its own.

@@ -1,7 +1,7 @@
 """Golden snapshot of :func:`repro.sim.runner.spec_key`.
 
-``spec_key`` is the content hash behind the result cache and the batch
-run packs: every published artefact is addressed by it.  This module
+``spec_key`` is the content hash behind the result cache and the spill
+streams: every published artefact is addressed by it.  This module
 pins the exact sha256 hex digests for a canonical matrix of specs so
 that *any* drift — a new hashed field, a changed default, a
 canonicalisation tweak, a version bump — fails loudly here instead of
