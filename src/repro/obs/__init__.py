@@ -8,14 +8,15 @@ around that exception:
 - :mod:`repro.obs.trace` — process-local spans and instant events with
   deterministic IDs, written as append-only JSONL; a no-op singleton
   when tracing is disabled, so instrumented hot paths cost nothing.
-- :mod:`repro.obs.metrics` — counters/gauges/histograms with mergeable
-  snapshots, reusing the streaming-merge semantics of
-  :mod:`repro.sim.metrics`.
+- :mod:`repro.obs.metrics` — counters and gauges with mergeable,
+  order-independent snapshots.
 - :mod:`repro.obs.sinks` — the JSONL event stream, torn-tail salvage,
   cross-process merge (clock-offset reconciliation), and Chrome
   trace-event export loadable in Perfetto.
 - :mod:`repro.obs.report` — stage-level latency/utilization breakdown
-  tables and a standalone HTML timeline for a trace directory.
+  tables (span durations folded through
+  :class:`~repro.sim.metrics.StreamSummary`) and a standalone HTML
+  timeline for a trace directory.
 
 Instrumentation only ever *reads* simulation state: results are
 bit-identical with tracing on or off at any shard/worker count (the

@@ -1,12 +1,12 @@
-"""Counters, gauges, and histograms with mergeable snapshots.
+"""Counters and gauges with mergeable snapshots.
 
-A process-local registry in the spirit of the streaming aggregates in
-:mod:`repro.sim.metrics` — and literally built on them: histograms pair
-a :class:`~repro.sim.metrics.RunningMoments` with a
-:class:`~repro.sim.metrics.QuantileSketch`, and snapshot merging folds
-partial aggregates with the same Chan / add-the-counters semantics the
-population report already trusts.  Counter merge is integer addition
-and therefore exactly associative, which ``tests/obs`` asserts.
+A process-local registry whose snapshots fold across processes with the
+same add-the-counters semantics the population report already trusts:
+counter merge is integer addition and therefore exactly associative,
+which ``tests/obs`` asserts, and a gauge merge keeps the most-updated
+value.  Latency distributions are not recorded here — ``repro obs
+report`` derives them from span durations, folded through the one
+streaming summary, :class:`~repro.sim.metrics.StreamSummary`.
 
 When tracing is disabled (the default) the module-level accessors
 return shared null instruments whose methods are empty — no allocation,
@@ -19,19 +19,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.sim.metrics import QuantileSketch, RunningMoments
-
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "activate",
     "counter",
     "deactivate",
     "enabled",
     "gauge",
-    "histogram",
     "merge_snapshots",
     "registry",
 ]
@@ -63,20 +59,6 @@ class Gauge:
         self.updates += 1
 
 
-class Histogram:
-    """Moments + log-binned sketch over one observation stream."""
-
-    __slots__ = ("moments", "sketch")
-
-    def __init__(self) -> None:
-        self.moments = RunningMoments()
-        self.sketch = QuantileSketch()
-
-    def observe(self, value: float) -> None:
-        self.moments.add(value)
-        self.sketch.add(value)
-
-
 class _NullCounter:
     __slots__ = ()
 
@@ -91,16 +73,8 @@ class _NullGauge:
         return None
 
 
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        return None
-
-
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
 
 
 class MetricsRegistry:
@@ -111,7 +85,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -125,12 +98,6 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge()
         return instrument
 
-    def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram()
-        return instrument
-
     def snapshot(self) -> dict:
         """A JSON-serializable, mergeable image of every instrument."""
         return {
@@ -140,10 +107,6 @@ class MetricsRegistry:
             "gauges": {
                 name: {"value": g.value, "updates": g.updates}
                 for name, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: _histogram_state(h)
-                for name, h in sorted(self._histograms.items())
             },
         }
 
@@ -159,11 +122,8 @@ class _NullRegistry:
     def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
-    def histogram(self, name: str) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "gauges": {}}
 
 
 _NULL_REGISTRY = _NullRegistry()
@@ -187,10 +147,6 @@ def gauge(name: str):
     return _active.gauge(name)
 
 
-def histogram(name: str):
-    return _active.histogram(name)
-
-
 def activate() -> MetricsRegistry:
     """Install (or return) a live registry for this process."""
     global _active
@@ -206,59 +162,20 @@ def deactivate() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot serialization + merge
+# Snapshot merge
 # ---------------------------------------------------------------------------
-
-
-def _histogram_state(h: Histogram) -> dict:
-    m, s = h.moments, h.sketch
-    return {
-        "count": m.count,
-        "mean": m.mean,
-        "m2": m._m2,
-        "min": m.min,
-        "max": m.max,
-        "sketch": {
-            "lo": s.lo,
-            "hi": s.hi,
-            "bins_per_decade": s.bins_per_decade,
-            "counts": {str(index): n for index, n in sorted(s._counts.items())},
-        },
-    }
-
-
-def _histogram_from_state(state: dict) -> Histogram:
-    h = Histogram()
-    m = h.moments
-    m.count = int(state["count"])
-    m.mean = float(state["mean"])
-    m._m2 = float(state["m2"])
-    m.min = float(state["min"])
-    m.max = float(state["max"])
-    geometry = state["sketch"]
-    h.sketch = QuantileSketch(
-        min_value=geometry["lo"],
-        max_value=geometry["hi"],
-        bins_per_decade=geometry["bins_per_decade"],
-    )
-    h.sketch._counts = {
-        int(index): int(n) for index, n in geometry["counts"].items()
-    }
-    h.sketch.count = sum(h.sketch._counts.values())
-    return h
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Fold per-process snapshots into one (associative for counters).
 
-    Counters add exactly; histograms merge through the underlying
-    ``RunningMoments``/``QuantileSketch`` fold; a gauge keeps the value
-    with the most updates (ties broken toward the larger value, so the
-    fold is order-independent).
+    Counters add exactly; a gauge keeps the value with the most updates
+    (ties broken toward the larger value, so the fold is
+    order-independent).  Any other key — such as the ``"histograms"``
+    entry of snapshots written by older traces — is ignored.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, dict] = {}
-    histograms: dict[str, Histogram] = {}
     for snapshot in snapshots:
         for name, value in snapshot.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + int(value)
@@ -266,20 +183,9 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             held = gauges.get(name)
             if held is None or _gauge_wins(state, held):
                 gauges[name] = dict(state)
-        for name, state in snapshot.get("histograms", {}).items():
-            incoming = _histogram_from_state(state)
-            held_h = histograms.get(name)
-            if held_h is None:
-                histograms[name] = incoming
-            else:
-                held_h.moments.merge(incoming.moments)
-                held_h.sketch.merge(incoming.sketch)
     return {
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
-        "histograms": {
-            name: _histogram_state(h) for name, h in sorted(histograms.items())
-        },
     }
 
 

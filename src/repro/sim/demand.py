@@ -39,12 +39,12 @@ batch path: every session re-plans under each policy in turn via
 :meth:`~repro.sim.session.Session.with_policy` and all the frozen specs
 stream through one :meth:`~repro.sim.runner.BatchEngine.stream_specs`
 call; each ``(spec, result)`` pair is routed to the policy that
-requested it and folded into order-independent streaming
-aggregates (:class:`~repro.sim.metrics.StreamSummary` in ``exact``
-mode) and dropped, so 10k+ client-sessions execute in bounded memory —
-no full result dict ever exists.  The headline metric is fleet-wide SLO
-attainment: the fraction of measurable client-windows whose steady-state
-p99 FPS meets the scenario's floor, reported per policy.  Because every
+requested it and folded into order-independent streaming aggregates
+(:class:`~repro.sim.metrics.StreamSummary`) and dropped, so 10k+
+client-sessions execute in bounded memory — no full result dict ever
+exists.  The headline metric is fleet-wide SLO attainment: the fraction
+of measurable client-windows whose steady-state p99 FPS meets the
+scenario's floor, reported per policy.  Because every
 aggregate is order-independent (exact sums, integer sketch counters,
 integer SLO tallies), the report is bit-identical at any shard count,
 worker count, or completion order.
@@ -765,9 +765,9 @@ class _PolicyAccumulator:
         self.client_sessions = 0
         self.executed = 0
         self.frames = 0
-        self.latency = StreamSummary(exact=True)
-        self.fps = StreamSummary(exact=True)
-        self.client_p99 = StreamSummary(exact=True)
+        self.latency = StreamSummary()
+        self.fps = StreamSummary()
+        self.client_p99 = StreamSummary()
         self.met = 0
         self.measured = 0
         self.unmeasured = 0

@@ -28,7 +28,6 @@ __all__ = [
     "ExactMoments",
     "FrameRecord",
     "QuantileSketch",
-    "RunningMoments",
     "SimulationResult",
     "ServerStats",
     "ServerWindow",
@@ -79,108 +78,29 @@ def tail_fps(display_times_ms, percentile: float = 99.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-class RunningMoments:
-    """Mergeable running count / mean / variance / extremes (Welford-Chan).
+class ExactMoments:
+    """Order-independent mergeable count / mean / variance / extremes.
 
     The constant-memory replacement for collect-then-``np.mean`` when a
     sweep is too large to hold: feed values one at a time with
-    :meth:`add`, or fold two partial aggregates with :meth:`merge` (the
-    parallel Chan update), and read the summary statistics at any point.
-    NaN values are skipped (they carry no information about the stream);
-    an empty aggregate reports NaN statistics, matching the steady-state
-    metrics' convention.
-    """
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the aggregate."""
-        value = float(value)
-        if math.isnan(value):
-            return
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold an iterable of observations (consumed lazily)."""
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "RunningMoments") -> None:
-        """Fold another partial aggregate into this one (in place)."""
-        if not isinstance(other, RunningMoments):
-            raise ConfigurationError(
-                "RunningMoments merges only with RunningMoments, got "
-                f"{type(other).__name__}"
-            )
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count == 0:
-            return float("nan")
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation."""
-        variance = self.variance
-        return math.sqrt(variance) if variance == variance else float("nan")
-
-
-class ExactMoments:
-    """Order-independent mergeable moments: exact partial-sum accumulation.
-
-    A drop-in alternative to :class:`RunningMoments` whose mean and
-    standard deviation do not depend on the order observations (or
-    partial aggregates) were folded in: the running sum and sum of
-    squares are kept as exact floating-point expansions (Shewchuk's
-    grow-expansion, the algorithm behind ``math.fsum``), so the exact
-    accumulated value — and therefore its correctly rounded reading — is
-    invariant under any permutation of :meth:`add` / :meth:`merge`
-    calls.
+    :meth:`add`, or fold partial aggregates with :meth:`merge`, and read
+    the statistics at any point.  The running sum and sum of squares are
+    kept as exact floating-point expansions (Shewchuk's grow-expansion,
+    the algorithm behind ``math.fsum``), so the exact accumulated value —
+    and therefore its correctly rounded reading — is invariant under any
+    permutation of :meth:`add` / :meth:`merge` calls.
 
     This is the property population-scale consumers need: the sharded
     executor yields results in nondeterministic completion order, and a
-    Welford fold of the same values in two different orders differs in
-    the last ULPs.  With exact sums, two runs that fold the same
+    running-mean fold of the same values in two different orders differs
+    in the last ULPs.  With exact sums, two runs that fold the same
     multiset of values report bit-identical statistics however the
     scheduler interleaved them.
 
-    NaN observations are skipped (as in :class:`RunningMoments`);
-    infinities are tallied separately (an exact expansion cannot carry
-    them) and saturate the statistics deterministically.
+    NaN observations are skipped (they carry no information about the
+    stream); infinities are tallied separately (an exact expansion
+    cannot carry them) and saturate the statistics deterministically.
+    An empty aggregate reports NaN statistics.
     """
 
     __slots__ = ("count", "_sum", "_sumsq", "min", "max", "_pos_inf", "_neg_inf")
@@ -239,11 +159,6 @@ class ExactMoments:
         Exact: merging is equivalent to having added the other side's
         observations directly, in any order.
         """
-        if not isinstance(other, ExactMoments):
-            raise ConfigurationError(
-                "ExactMoments merges only with ExactMoments, got "
-                f"{type(other).__name__}"
-            )
         self.count += other.count
         for x in other._sum:
             self._grow(self._sum, x)
@@ -396,30 +311,23 @@ class QuantileSketch:
 
 
 class StreamSummary:
-    """Running moments plus a percentile sketch over one value stream.
+    """Exact moments plus a percentile sketch over one value stream.
 
-    The unit of streaming sweep aggregation: exact count / mean / std /
-    min / max via :class:`RunningMoments` and approximate percentiles via
-    :class:`QuantileSketch`, mergeable across shards.  This is what the
-    population-scale paths fold per-spec metrics into instead of holding
-    a full-sweep result list.
-
-    ``exact=True`` swaps the Welford moments for :class:`ExactMoments`,
-    making every reported statistic independent of fold/merge order —
-    the mode the population demand path uses so a sharded run's report
-    is bit-identical at any shard count and completion order (sketch
-    counters and extremes are order-independent either way; only the
-    Welford mean/std are not).  Summaries merge only with summaries of
-    the same mode.
+    The one unit of streaming aggregation: order-independent count /
+    mean / std / min / max via :class:`ExactMoments` and approximate
+    percentiles via :class:`QuantileSketch`, mergeable across shards.
+    Every statistic of :meth:`row` depends only on the multiset of
+    folded values, never on fold or merge order, so a sharded run's
+    report is bit-identical at any shard count and completion order.
+    Population-scale paths fold per-spec metrics into these instead of
+    holding a full-sweep result list.
     """
 
     __slots__ = ("moments", "sketch")
 
-    def __init__(
-        self, sketch: QuantileSketch | None = None, exact: bool = False
-    ) -> None:
-        self.moments = ExactMoments() if exact else RunningMoments()
-        self.sketch = sketch if sketch is not None else QuantileSketch()
+    def __init__(self) -> None:
+        self.moments = ExactMoments()
+        self.sketch = QuantileSketch()
 
     def add(self, value: float) -> None:
         """Fold one observation into both aggregates."""

@@ -53,7 +53,7 @@ static multi-user releases.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterable
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -71,7 +71,6 @@ from repro.network.profile import (
 from repro.sim.metrics import (
     ServerWindow,
     SimulationResult,
-    StreamSummary,
     WindowStats,
     aggregate_server_stats,
     window_stats,
@@ -82,7 +81,6 @@ from repro.sim.runner import (
     RunSpec,
     default_engine,
     effective_warmup,
-    spec_key,
 )
 from repro.sim.server import (
     AdmissionDecision,
@@ -1139,28 +1137,6 @@ class SessionTimeline:
         return aggregate_server_stats(
             [window for epoch in self.epochs for window in epoch.servers]
         )
-
-    def stream_stats(
-        self, results: "dict[RunSpec, SimulationResult] | Iterable"
-    ) -> tuple[StreamSummary, StreamSummary]:
-        """Session-wide streaming latency / FPS summaries of executed runs.
-
-        Folds each serviced client's steady-state per-frame series into
-        one mergeable ``(latency, fps)`` :class:`StreamSummary` pair —
-        the bounded-memory aggregation population-scale paths use
-        instead of keeping per-client timelines around.  ``results`` may
-        be the batch engine's spec-keyed dict or any iterable of
-        ``(spec, result)`` pairs (e.g. a spill-to-disk result stream);
-        pairs for specs outside this session are ignored, so one shared
-        stream can feed many sessions' stats.
-        """
-        latency, fps = StreamSummary(), StreamSummary()
-        wanted = {spec_key(spec) for spec in self.specs}
-        pairs = results.items() if hasattr(results, "items") else results
-        for spec, result in pairs:
-            if spec_key(spec) in wanted:
-                result.fold_into(latency=latency, fps=fps)
-        return latency, fps
 
 
 # ---------------------------------------------------------------------------

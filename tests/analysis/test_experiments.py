@@ -1,11 +1,14 @@
 """Tests for the experiment harness (short runs) and report rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.analysis.calibration import ANCHORS, within_band
 from repro.analysis.experiments import (
     SIM_EXPERIMENTS,
+    admission_scheduling,
     default_churn_session,
     default_failover_session,
     default_netdrop_profile,
@@ -182,6 +185,58 @@ class TestNetDrop:
         assert first == second
         assert engine.stats.executed == 1
         assert engine.stats.cache_hits == 1
+
+
+class TestWindowRowsPinned:
+    """Windowed experiment rows, bit for bit.
+
+    The literals were captured from the hand-rolled per-window fold
+    these experiments used before both went through
+    :func:`~repro.sim.metrics.window_stats`; floats are ``float.hex``.
+    """
+
+    @staticmethod
+    def _hex(row):
+        return tuple(
+            value.hex() if isinstance(value, float) else value
+            for value in dataclasses.astuple(row)
+        )
+
+    def test_netdrop_rows(self):
+        expected = [
+            ("Doom3-H", "before", 60,
+             "0x1.e955555555555p+4", "0x1.ccf673aebfe01p+6", "0x1.04740723734a6p+7"),
+            ("Doom3-H", "drop", 30,
+             "0x1.8444444444444p+5", "0x1.527a284fbf170p+5", "0x1.09475cc238b2ap+6"),
+            ("Doom3-H", "after", 70,
+             "0x1.f507507507507p+4", "0x1.b8863b8bd7b0ap+6", "0x1.f43f7cb9bc031p+6"),
+            ("GRID", "before", 44,
+             "0x1.13a2e8ba2e8bap+4", "0x1.5391f5e23efbcp+6", "0x1.732e170c0491ap+7"),
+            ("GRID", "drop", 16,
+             "0x1.0e80000000000p+5", "0x1.55cea4076ab71p+4", "0x1.1a33f9d22adc1p+7"),
+            ("GRID", "after", 100,
+             "0x1.2828f5c28f5c3p+4", "0x1.42a23ec79e2edp+6", "0x1.6d7c4155e3866p+7"),
+        ]
+        rows = netdrop_adaptation(n_frames=160)
+        assert [self._hex(row) for row in rows] == expected
+
+    def test_admission_rows(self):
+        expected = [
+            ("fair-share", "GRID",
+             "0x1.9eac7e6a9735cp+5", "0x1.5260777bcea26p+3", "0x1.125ea201bc4fap+3",
+             "0x1.7be93e93e93e9p+4", "0x1.576c3e65f68b6p+7"),
+            ("fair-share", "Doom3-L",
+             "0x1.97c3c4023cb46p+6", "0x1.26ce36551c188p+6", "0x1.6c965bbdb3780p+5",
+             "0x1.aa93e93e93e94p+5", "0x1.12e162916db87p+5"),
+            ("deadline", "GRID",
+             "0x1.b31cf5c31f747p+5", "0x1.16665262cd763p+4", "0x1.bebe0ad05315bp+3",
+             "0x1.6ad82d82d82d8p+4", "0x1.5b614aeecdbe4p+7"),
+            ("deadline", "Doom3-L",
+             "0x1.65060554952eep+6", "0x1.189200be3d51fp+6", "0x1.2a1934d0502e2p+5",
+             "0x1.e0866595e8c12p+5", "0x1.afd73f73b4d44p+4"),
+        ]
+        rows = admission_scheduling(n_frames=120)
+        assert [self._hex(row) for row in rows] == expected
 
 
 class TestChurn:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import report, trace
+from repro.obs import metrics, report, sinks, trace
 
 
 def _record_sample_trace(trace_dir):
@@ -78,3 +78,43 @@ def test_render_html_is_standalone_and_escaped(tmp_path):
 def test_render_html_empty_directory(tmp_path):
     page = report.render_html(tmp_path / "none")
     assert "no trace events found" in page
+
+
+def test_legacy_histogram_snapshots_still_load(tmp_path):
+    # Trace directories recorded before the obs registry dropped its
+    # histogram instrument carry a "histograms" entry in each metrics
+    # snapshot; reports must still merge their counters and gauges.
+    trace_dir = tmp_path / "t"
+    tracer = trace.configure(trace_dir, process="parent")
+    with tracer.span("batch.run_specs", key=("b",)):
+        metrics.counter("batch.executed").inc(3)
+        metrics.gauge("population.slo").set(0.5)
+    trace.shutdown()
+    legacy = {
+        "counters": {"batch.executed": 2},
+        "gauges": {"population.slo": {"value": 0.75, "updates": 2}},
+        "histograms": {
+            "lat": {
+                "count": 3, "mean": 2.0, "m2": 2.0, "min": 1.0, "max": 3.0,
+                "sketch": {
+                    "lo": 1e-6, "hi": 1e9, "bins_per_decade": 64,
+                    "counts": {"384": 1, "403": 1, "414": 1},
+                },
+            }
+        },
+    }
+    with open(trace_dir / "worker-0.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"kind": "process", "proc": "worker-0",
+                             "wall_s": 0.0, "mono_s": 0.0}) + "\n")
+        fh.write(json.dumps({"kind": "metrics", "proc": "worker-0",
+                             "snapshot": legacy}) + "\n")
+    _, snapshots = sinks.merge_trace_dir(trace_dir)
+    assert any("histograms" in snapshot for snapshot in snapshots)
+    merged = metrics.merge_snapshots(snapshots)
+    assert merged == {
+        "counters": {"batch.executed": 5},
+        "gauges": {"population.slo": {"value": 0.75, "updates": 2}},
+    }
+    text = report.render_report(trace_dir)
+    assert "Counters (merged)" in text and "batch.executed" in text
+    assert "Gauges (merged)" in text and "0.75" in text

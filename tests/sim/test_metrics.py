@@ -9,7 +9,6 @@ from repro.sim.metrics import (
     ExactMoments,
     FrameRecord,
     QuantileSketch,
-    RunningMoments,
     SimulationResult,
     StreamSummary,
 )
@@ -181,57 +180,6 @@ class TestTailFps:
 # ---------------------------------------------------------------------------
 
 
-class TestRunningMoments:
-    def test_matches_exact_statistics(self):
-        import numpy as np
-
-        values = np.random.default_rng(7).lognormal(2.0, 0.8, size=500)
-        moments = RunningMoments()
-        moments.extend(values)
-        assert moments.count == 500
-        assert moments.mean == pytest.approx(float(np.mean(values)))
-        assert moments.std == pytest.approx(float(np.std(values)))
-        assert moments.min == float(np.min(values))
-        assert moments.max == float(np.max(values))
-
-    def test_merge_of_halves_equals_whole(self):
-        import numpy as np
-
-        values = np.random.default_rng(11).normal(50.0, 9.0, size=401)
-        whole = RunningMoments()
-        whole.extend(values)
-        left, right = RunningMoments(), RunningMoments()
-        left.extend(values[:137])
-        right.extend(values[137:])
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean)
-        assert left.variance == pytest.approx(whole.variance)
-        assert left.min == whole.min
-        assert left.max == whole.max
-
-    def test_merge_into_empty_copies(self):
-        source = RunningMoments()
-        source.extend([1.0, 2.0, 3.0])
-        target = RunningMoments()
-        target.merge(source)
-        assert target.count == 3
-        assert target.mean == pytest.approx(2.0)
-        source.merge(RunningMoments())  # merging an empty is a no-op
-        assert source.count == 3
-
-    def test_nan_values_are_skipped(self):
-        moments = RunningMoments()
-        moments.extend([1.0, float("nan"), 3.0])
-        assert moments.count == 2
-        assert moments.mean == pytest.approx(2.0)
-
-    def test_empty_reports_nan(self):
-        moments = RunningMoments()
-        assert math.isnan(moments.variance)
-        assert math.isnan(moments.std)
-
-
 class TestExactMoments:
     def test_matches_exact_statistics(self):
         import numpy as np
@@ -296,19 +244,37 @@ class TestExactMoments:
         assert math.isnan(moments.variance)
         assert math.isnan(moments.std)
 
-    def test_mode_mixing_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExactMoments().merge(RunningMoments())
-        with pytest.raises(ConfigurationError):
-            RunningMoments().merge(ExactMoments())
+    def test_merge_of_halves_equals_whole(self):
+        import numpy as np
+
+        values = list(np.random.default_rng(11).normal(50.0, 9.0, size=401))
+        whole = ExactMoments()
+        whole.extend(values)
+        left, right = ExactMoments(), ExactMoments()
+        left.extend(values[:137])
+        right.extend(values[137:])
+        left.merge(right)
+        assert (left.count, left.mean, left.variance, left.min, left.max) == (
+            whole.count, whole.mean, whole.variance, whole.min, whole.max,
+        )
+
+    def test_merge_into_empty_copies(self):
+        whole = ExactMoments()
+        whole.extend([1.0, 2.0, 4.0, 8.0])
+        target = ExactMoments()
+        target.merge(whole)  # merging into an empty aggregate copies
+        assert (target.count, target.mean, target.std) == (
+            whole.count, whole.mean, whole.std,
+        )
+        before = (whole.count, whole.mean, whole.std, whole.min, whole.max)
+        whole.merge(ExactMoments())  # merging an empty is a no-op
+        assert (whole.count, whole.mean, whole.std, whole.min, whole.max) == before
 
     def test_exact_stream_summary_uses_exact_moments(self):
-        summary = StreamSummary(exact=True)
+        summary = StreamSummary()
         assert isinstance(summary.moments, ExactMoments)
         summary.extend([1.0, 2.0, 3.0])
         assert summary.mean == 2.0
-        with pytest.raises(ConfigurationError):
-            summary.merge(StreamSummary())
 
 
 class TestQuantileSketch:
@@ -382,6 +348,24 @@ class TestStreamSummary:
         assert total.count == 300
         assert total.min == 0.0
         assert total.max == 299.0
+
+    def test_row_is_completion_order_independent(self):
+        import numpy as np
+
+        values = list(np.random.default_rng(23).lognormal(3.0, 0.9, size=2000))
+        in_order = StreamSummary()
+        in_order.extend(values)
+        shuffled_values = list(values)
+        np.random.default_rng(29).shuffle(shuffled_values)
+        shuffled = StreamSummary()
+        shuffled.extend(shuffled_values)
+        shards = [StreamSummary() for _ in range(3)]
+        for index, shard in enumerate(shards):
+            shard.extend(values[index::3])
+        merged = StreamSummary()
+        for shard in reversed(shards):
+            merged.merge(shard)
+        assert in_order.row() == shuffled.row() == merged.row()
 
     def test_empty_summary_is_nan(self):
         summary = StreamSummary()
